@@ -5,6 +5,10 @@ Each block crosses the first-rank tensor with the previous rank's output
 channel by an attention coefficient through a residual leaky-ReLU, and
 mixes channels with a lasso-regularized selection matrix. Stacking blocks
 yields the multi-rank concatenation used downstream.
+
+``run_stack`` does the cross, scale and mix of a block in one fused node,
+``cross_block``; ``cross_product``, ``residual_scale`` and ``pca_select`` are
+the same steps as separate tensor ops, kept as its reference.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ class RankStack:
     attentions: list     # per block: Tensor [B, n_prev, n1]
     x_tilde: "ad.Tensor"  # [B, T, N, d]
     widths: list         # [n_1, n_2, ..., n_l]
-
-    @property
-    def total_width(self):
-        return sum(self.widths)
 
 
 def temporal_aggregate(X, w):
@@ -101,6 +101,76 @@ def pca_select(crossed, w_pca):
     return ad.transpose(mixed, (0, 1, 3, 2))
 
 
+# samples per cross_block chunk are chosen so one chunk of L stays in cache
+_CHUNK_BYTES = 1 << 20
+
+
+def cross_block(X1, Xprev, a, w_pca):
+    """``pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)`` as one node.
+
+    X1 [B, T, n1, d], Xprev [B, T, n_prev, d], a [B, n_prev, n1] and
+    w_pca [n_prev*n1, c_o] give [B, T, c_o, d]. The work is done channel-last,
+    on rows r = (t, d) by crossed channels c = m*n1 + k. ``a`` is a softmax,
+    so 1 + a > 0 and lrelu((1+a)·x) = (1+a)·lrelu(x): the attention scale folds
+    into a per-sample weight W_b = diag(1 + a_b)·w_pca, and the block is
+    L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b. L is the only
+    [B, T*d, c_i] array kept for backward, and lrelu'(0) = 0.1 as in
+    ``ad.leaky_relu``. Samples are taken
+    in chunks of about ``_CHUNK_BYTES`` of L, so each pass over a chunk runs
+    from cache.
+    """
+    B, T, n1, d = X1.shape
+    n_prev = Xprev.shape[2]
+    c_i, c_o = w_pca.shape
+    if Xprev.shape != (B, T, n_prev, d) or a.shape != (B, n_prev, n1) or c_i != n_prev * n1:
+        raise ad.ShapeError(f"cross_block shapes disagree: X1 {X1.shape}, Xprev {Xprev.shape}, "
+                            f"a {a.shape}, w_pca {w_pca.shape}")
+    R = T * d
+    x1 = np.ascontiguousarray(X1.data.transpose(0, 1, 3, 2)).reshape(B, R, n1)
+    xp = np.ascontiguousarray(Xprev.data.transpose(0, 1, 3, 2)).reshape(B, R, n_prev)
+    scale = 1.0 + a.data.reshape(B, c_i, 1)
+    W_b = scale * w_pca.data                                   # [B, c_i, c_o]
+    step = max(1, _CHUNK_BYTES // (8 * R * c_i))
+    chunks = [slice(s, s + step) for s in range(0, B, step)]
+    L = np.empty((B, R, n_prev, n1))
+    mixed = np.empty((B, R, c_o))
+    for cs in chunks:
+        Lc = L[cs]
+        np.einsum("brm,brk->brmk", xp[cs], x1[cs], out=Lc)
+        np.maximum(Lc, 0.1 * Lc, out=Lc)
+        np.matmul(Lc.reshape(-1, R, c_i), W_b[cs], out=mixed[cs])
+    L = L.reshape(B, R, c_i)
+    out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
+
+    def _bw(g, acc):
+        Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)
+        Mt = np.empty((B, c_o, c_i))                           # M_b = L_bᵀ G_b, transposed
+        dxp = np.empty((B, R, n_prev, 1))
+        dx1 = np.empty((B, R, 1, n1))
+        dP = np.empty((min(step, B), R, c_i))
+        slope = np.empty_like(dP)
+        for cs in chunks:
+            Lc = L[cs]
+            n = Lc.shape[0]
+            np.matmul(Gt[cs], Lc, out=Mt[cs])
+            np.matmul(Gt[cs].transpose(0, 2, 1), W_b[cs].transpose(0, 2, 1), out=dP[:n])
+            np.greater(Lc, 0.0, out=slope[:n])                 # lrelu' = 0.1 + 0.9·[L > 0]
+            slope[:n] *= 0.9
+            slope[:n] += 0.1
+            dP[:n] *= slope[:n]
+            dPc = dP[:n].reshape(n, R, n_prev, n1)
+            np.matmul(dPc, x1[cs, :, :, None], out=dxp[cs])
+            np.matmul(xp[cs, :, None, :], dPc, out=dx1[cs])
+        M = Mt.transpose(0, 2, 1)
+        acc(w_pca, (scale * M).sum(axis=0))
+        acc(a, (M * w_pca.data).sum(axis=2).reshape(B, n_prev, n1))
+        acc(Xprev, dxp.reshape(B, T, d, n_prev).transpose(0, 1, 3, 2))
+        acc(X1, dx1.reshape(B, T, d, n1).transpose(0, 1, 3, 2))
+
+    out._backward = _bw
+    return out
+
+
 def lasso_penalty(blocks):
     """Sum of absolute selection weights over all blocks (sign subgradient)."""
     terms = [ad.tsum(ad.absolute(b.w_pca)) for b in blocks]
@@ -134,9 +204,7 @@ def run_stack(X1, blocks):
                 f"block for rank {block.rank} expects ({block.n_prev}, {block.n1}) "
                 f"inputs, got ({prev.shape[2]}, {X1.shape[2]})")
         a = cross_attention(X1, prev, block)
-        crossed = cross_product(X1, prev)
-        scaled = residual_scale(crossed, a)
-        out = pca_select(scaled, block.w_pca)
+        out = cross_block(X1, prev, a, block.w_pca)
         ranks.append(out)
         attentions.append(a)
         widths.append(block.c_o)

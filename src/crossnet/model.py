@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -267,18 +268,11 @@ def auc(scores, labels):
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("auc needs both classes present")
-    # midranks over the pooled scores
+    # midranks over the pooled scores: a tie group ending at 1-based rank e
+    # with c members has midrank e - (c - 1) / 2
     pooled = np.concatenate([pos, neg])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    sorted_scores = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j < len(pooled) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group.reshape(-1)]
     rank_sum_pos = ranks[:len(pos)].sum()
     return float((rank_sum_pos - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
@@ -351,32 +345,54 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint written by save_checkpoint."""
+    """Rebuild the model from a checkpoint written by save_checkpoint.
+
+    The file must hold exactly the model's parameters and end after the
+    last one; a truncated, padded or incomplete file raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint (bad magic {magic!r})")
 
-        def read_blob():
-            (n,) = struct.unpack("<I", fh.read(4))
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, what):
+            left = size - fh.tell()
+            if n > left:
+                raise ValueError(f"{path} is truncated: {what} needs {n} bytes, {left} left")
             return fh.read(n)
 
-        schema = [FeatureField(**f) for f in json.loads(read_blob())]
-        cfg_dict = json.loads(read_blob())
+        def read_u32(what):
+            return struct.unpack("<I", read(4, what))[0]
+
+        def read_blob(what):
+            return read(read_u32(f"the length of {what}"), what)
+
+        schema = [FeatureField(**f) for f in json.loads(read_blob("the schema"))]
+        cfg_dict = json.loads(read_blob("the config"))
         config = TrainConfig(**cfg_dict)
         model = Model(schema, config)
         named = model.named_params()
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            name = read_blob().decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            raw = fh.read(8 * int(np.prod(shape)) if ndim else 8)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        loaded = set()
+        for _ in range(read_u32("the parameter count")):
+            name = read_blob("a parameter name").decode()
             if name not in named:
                 raise ValueError(f"checkpoint param {name!r} has no slot in the model")
-            if named[name].data.shape != arr.shape:
-                raise ValueError(f"checkpoint param {name!r} shape {arr.shape} != "
+            if name in loaded:
+                raise ValueError(f"checkpoint param {name!r} appears twice")
+            ndim = read_u32(f"the rank of {name!r}")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"the shape of {name!r}"))
+            if named[name].data.shape != shape:
+                raise ValueError(f"checkpoint param {name!r} shape {shape} != "
                                  f"model shape {named[name].data.shape}")
-            named[name].data = arr.copy()
+            raw = read(8 * int(np.prod(shape)), f"the values of {name!r}")
+            named[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            loaded.add(name)
+        missing = sorted(set(named) - loaded)
+        if missing:
+            raise ValueError(f"{path} lacks model parameters: {', '.join(missing)}")
+        trailing = size - fh.tell()
+        if trailing:
+            raise ValueError(f"{path} has {trailing} unexpected bytes after the last parameter")
     return model

@@ -1,13 +1,18 @@
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossnet import autodiff as ad
+from crossnet import crossing
 from crossnet.autodiff import Tensor
-from crossnet.crossing import (CrossingBlock, cross_attention, cross_product,
-                               lasso_penalty, make_blocks, pca_select,
-                               residual_scale, run_stack, temporal_aggregate)
+from crossnet.crossing import (CrossingBlock, cross_attention, cross_block,
+                               cross_product, lasso_penalty, make_blocks,
+                               pca_select, residual_scale, run_stack,
+                               temporal_aggregate)
 
 
 def rand(shape, seed=0):
@@ -140,6 +145,114 @@ class TestLassoPenalty:
         block = self.make_block(np.array([[1.0, -2.0], [0.0, 3.0]]))
         ad.backward(lasso_penalty([block]))
         np.testing.assert_array_equal(block.w_pca.grad, [[1.0, -1.0], [0.0, 1.0]])
+
+
+@contextlib.contextmanager
+def chunk_bytes(n):
+    """Run cross_block with ``n`` bytes of L per chunk (one sample when tiny)."""
+    saved = crossing._CHUNK_BYTES
+    crossing._CHUNK_BYTES = n
+    try:
+        yield
+    finally:
+        crossing._CHUNK_BYTES = saved
+
+
+def block_inputs(B, T, n1, n_prev, d, c_o, seed):
+    rng = np.random.default_rng(seed)
+    return (ad.Param(rng.normal(size=(B, T, n1, d)), name="X1"),
+            ad.Param(rng.normal(size=(B, T, n_prev, d)), name="Xprev"),
+            ad.Param(rng.uniform(size=(B, n_prev, n1)), name="a"),
+            ad.Param(rng.normal(size=(n_prev * n1, c_o)), name="w_pca"))
+
+
+def chain(X1, Xprev, a, w_pca):
+    return pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)
+
+
+def value_and_grads(op, params, R):
+    ad.zero_grads(params)
+    out = op(*params)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(R))))
+    grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    return [out.data] + grads
+
+
+def assert_matches_chain(params, R, chunk):
+    """cross_block's value and four gradients equal the unfused chain's."""
+    want = value_and_grads(chain, params, R)
+    with chunk_bytes(chunk):
+        got = value_and_grads(cross_block, params, R)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestCrossBlock:
+    @pytest.mark.parametrize("B,T,n1,n_prev,d,c_o,chunk", [
+        (2, 2, 3, 2, 2, 3, 1 << 20),   # n_prev != n1
+        (1, 2, 2, 3, 2, 2, 1 << 20),   # B = 1
+        (2, 1, 2, 2, 3, 2, 1 << 20),   # T = 1
+        (2, 2, 3, 2, 1, 2, 1 << 20),   # d = 1
+        (2, 2, 2, 3, 2, 1, 1 << 20),   # c_o = 1
+        (3, 2, 2, 3, 2, 2, 8),         # one sample per chunk
+    ])
+    def test_grad_check(self, B, T, n1, n_prev, d, c_o, chunk):
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=B + 10 * n_prev + c_o)
+        R = Tensor(np.random.default_rng(c_o).normal(size=(B, T, c_o, d)))
+
+        # linear in each input between lrelu kinks, so central differences are
+        # exact up to rounding and a wide step keeps rounding small
+        def f():
+            return ad.tsum(ad.mul(cross_block(*params), R))
+
+        with chunk_bytes(chunk):
+            report = ad.grad_check(f, list(params), step=1e-3, tol=1e-6)
+        assert report["ok"], report
+
+    def test_zero_product_takes_slope_one_tenth(self):
+        # out = w (1 + a) lrelu(xp x1); at x1 = 0 the x1-gradient is w (1 + a) 0.1 xp
+        for xp in (2.0, -2.0, 0.0, -0.0):
+            X1 = ad.Param(np.zeros((1, 1, 1, 1)), name="X1")
+            Xprev = ad.Param(np.full((1, 1, 1, 1), xp), name="Xprev")
+            a = ad.Param(np.full((1, 1, 1), 0.5), name="a")
+            w = ad.Param(np.full((1, 1), 3.0), name="w_pca")
+            out = cross_block(X1, Xprev, a, w)
+            assert out.data.item() == 0.0
+            ad.backward(ad.tsum(out))
+            assert X1.grad.item() == pytest.approx(3.0 * 1.5 * 0.1 * xp)
+            assert Xprev.grad.item() == 0.0
+            assert a.grad.item() == 0.0 and w.grad.item() == 0.0
+
+    def test_zero_products_match_chain(self):
+        params = block_inputs(3, 2, 3, 4, 2, 3, seed=5)
+        params[0].data[:, :, 1, :] = 0.0      # a rank-1 feature that is exactly zero
+        params[1].data[0, 1, 2, :] = -0.0     # and a previous-rank entry at -0
+        R = np.random.default_rng(6).normal(size=(3, 2, 3, 2))
+        for chunk in (8, 1 << 20):
+            assert_matches_chain(params, R, chunk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_chain(self, data):
+        dims = st.integers(1, 4)
+        B, T, n1, n_prev, d, c_o = (data.draw(dims) for _ in range(6))
+        values = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+        def draw(shape, elements=values):
+            return data.draw(hnp.arrays(np.float64, shape, elements=elements))
+
+        params = [ad.Param(draw((B, T, n1, d)), name="X1"),
+                  ad.Param(draw((B, T, n_prev, d)), name="Xprev"),
+                  ad.Param(draw((B, n_prev, n1), st.floats(0.0, 1.0)), name="a"),
+                  ad.Param(draw((n_prev * n1, c_o)), name="w_pca")]
+        assert_matches_chain(params, draw((B, T, c_o, d)),
+                             data.draw(st.sampled_from([8, 1 << 20])))
+
+    def test_shape_mismatch_rejected(self):
+        X1, Xprev, a, w = block_inputs(1, 2, 3, 2, 2, 2, seed=0)
+        with pytest.raises(ad.ShapeError):
+            cross_block(X1, Xprev, a, ad.Tensor(np.ones((5, 2))))
 
 
 def reference_stack(X1, blocks):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,45 @@ class TestAuc:
         assert auc(2 * scores - 7, labels) == pytest.approx(base)
 
 
+def loop_midrank_auc(scores, labels):
+    """The earlier while-loop midrank AUC, kept as the reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    pooled = np.concatenate([pos, neg])
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(len(pooled))
+    sorted_scores = pooled[order]
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j < len(pooled) and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    return float((ranks[:len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0)
+                 / (len(pos) * len(neg)))
+
+
+class TestAucTies:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 50])
+    def test_heavy_ties_match_loop(self, levels):
+        rng = np.random.default_rng(levels)
+        scores = rng.integers(0, levels, size=400) / 4.0
+        labels = rng.integers(0, 2, size=400)
+        labels[:2] = [0, 1]
+        assert auc(scores, labels) == loop_midrank_auc(scores, labels)
+
+    def test_all_tied_is_half(self):
+        labels = np.array([1, 0, 0, 1, 0, 0, 0, 1])
+        assert auc(np.full(8, 0.25), labels) == 0.5
+        assert loop_midrank_auc(np.full(8, 0.25), labels) == 0.5
+
+    def test_tied_block_straddling_classes(self):
+        # one positive above, a tie of one positive and one negative, one negative below
+        assert auc([0.9, 0.5, 0.5, 0.1], [1, 1, 0, 0]) == pytest.approx(0.875)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         samples, schema = make_dataset(16)
@@ -269,4 +310,51 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def saved(self, tmp_path):
+        _, schema = make_dataset(16)
+        model = Model(schema, small_config())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        return model, path
+
+    def test_missing_param_rejected(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        named = model.named_params()
+        dropped = sorted(named)[0]
+        model.named_params = lambda: {k: v for k, v in named.items() if k != dropped}
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=f"lacks model parameters: {dropped}"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 unexpected bytes after the last parameter"):
+            load_checkpoint(path)
+
+    def test_repeated_param_rejected(self, tmp_path):
+        # raise the parameter count by one and repeat the last record
+        model, path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        at = 5                                          # past the magic
+        for _ in range(2):                              # past the schema and config blobs
+            at += 4 + struct.unpack_from("<I", blob, at)[0]
+        (count,) = struct.unpack_from("<I", blob, at)
+        name = sorted(model.named_params())[-1]
+        p = model.named_params()[name]
+        record = 4 + len(name) + 4 + 4 * p.data.ndim + 8 * p.data.size
+        path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
+                         + blob[-record:])
+        with pytest.raises(ValueError, match="appears twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [7, 12, 40, -200, -9, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # cuts inside the schema length, the schema blob, and parameter arrays
+        _, path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match="is truncated"):
             load_checkpoint(path)
