@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from crossnet import autodiff as ad
 from crossnet import explain
 from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
                            split, synthetic_schema_config)
@@ -59,7 +60,8 @@ for rank in (1, 2):
 # ---------------------------------------------------------------------------
 
 sample = test_set[0]
-fwd = model.forward([sample])
+with ad.no_grad():   # scoring only: build no backward graph
+    fwd = model.forward([sample])
 pred = int(fwd["y"].data[0].argmax())
 names = explain.channel_pattern_names(model.blocks, model.schema, cfg.epsilon)
 expl, E = explain.individual_explanation(

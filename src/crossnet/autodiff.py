@@ -2,12 +2,34 @@
 
 Every public op records its gradient rule on the implicit computation
 graph; calling ``backward`` on a scalar result accumulates into the
-``grad`` buffer of every reachable Param.
+``grad`` buffer of every reachable Param. Inside ``no_grad()`` ops record
+nothing: each result is a bare Tensor with no parents and no gradient rule,
+so a forward-only pass keeps no inputs alive and builds no reference cycles.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; nests, and restores the mode on exit."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
+def grad_enabled():
+    return _grad_enabled
 
 
 class ShapeError(ValueError):
@@ -21,8 +43,8 @@ class Tensor:
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if _grad_enabled else ()
+        self._backward = _backward if _grad_enabled else None
 
     @property
     def shape(self):
@@ -84,6 +106,17 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _record(out, backward):
+    """Give an op's result its gradient rule; under ``no_grad`` it keeps none.
+
+    Ops make their result before its rule. That order decides where the cyclic
+    collector runs during training, which perfbench's host-speed probes pick up.
+    """
+    if _grad_enabled:
+        out._backward = backward
+    return out
+
+
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
@@ -96,8 +129,7 @@ def add(a, b):
         acc(a, _unbroadcast(g, a.shape))
         acc(b, _unbroadcast(g, b.shape))
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def mul(a, b):
@@ -109,16 +141,14 @@ def mul(a, b):
         acc(a, _unbroadcast(g * b.data, a.shape))
         acc(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
     out = Tensor(a.data * c, (a,))
-    out._backward = lambda g, acc: acc(a, g * c)
-    return out
+    return _record(out, lambda g, acc: acc(a, g * c))
 
 
 def matmul(a, b):
@@ -141,15 +171,14 @@ def matmul(a, b):
             acc(a, _unbroadcast(ga, a.shape))
             acc(b, _unbroadcast(gb, b.shape))
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def _elementwise(a, fn, dfn):
     a = _as_tensor(a)
     out = Tensor(fn(a.data), (a,))
-    out._backward = lambda g, acc: acc(a, g * dfn(a.data, out.data))
-    return out
+    # the rule reads ``out``, so each such node is a reference cycle
+    return _record(out, lambda g, acc: acc(a, g * dfn(a.data, out.data)))
 
 
 def sigmoid(a):
@@ -218,8 +247,7 @@ def tsum(a, axis=None, keepdims=False):
                     g = np.expand_dims(g, ax)
             acc(a, np.broadcast_to(g, a.shape).copy())
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def tmean(a, axis=None):
@@ -240,23 +268,20 @@ def softmax(a, axis=-1):
         dot = (g * y).sum(axis=axis, keepdims=True)
         acc(a, y * (g - dot))
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape), (a,))
-    out._backward = lambda g, acc: acc(a, g.reshape(a.shape))
-    return out
+    return _record(out, lambda g, acc: acc(a, g.reshape(a.shape)))
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
     out = Tensor(a.data.transpose(axes), (a,))
     inv = np.argsort(axes)
-    out._backward = lambda g, acc: acc(a, g.transpose(inv))
-    return out
+    return _record(out, lambda g, acc: acc(a, g.transpose(inv)))
 
 
 def concat(tensors, axis):
@@ -269,8 +294,7 @@ def concat(tensors, axis):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             acc(t, piece)
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def stack(tensors, axis=0):
@@ -281,8 +305,7 @@ def stack(tensors, axis=0):
         for i, t in enumerate(tensors):
             acc(t, np.take(g, i, axis=axis))
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def slice_axis(a, axis, start, stop):
@@ -297,8 +320,7 @@ def slice_axis(a, axis, start, stop):
         full[idx] = g
         acc(a, full)
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def gather_rows(a, indices):
@@ -318,8 +340,7 @@ def gather_rows(a, indices):
         np.add.at(full, indices.reshape(-1), g.reshape(-1, a.shape[1]))
         acc(a, full)
 
-    out._backward = _bw
-    return out
+    return _record(out, _bw)
 
 
 def pad_axis(a, axis, before, after):
@@ -331,8 +352,7 @@ def pad_axis(a, axis, before, after):
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(before, before + a.shape[axis])
     idx = tuple(idx)
-    out._backward = lambda g, acc: acc(a, g[idx])
-    return out
+    return _record(out, lambda g, acc: acc(a, g[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +370,9 @@ def backward(loss):
     if isinstance(loss, Param):
         loss.grad += np.ones_like(loss.data)
         return
+    if not loss._parents:
+        raise ValueError("backward needs a loss built from a graph; this one has no "
+                         "parents (a constant, or built under no_grad)")
 
     topo = []
     visited = set()

@@ -210,13 +210,12 @@ def cmd_explain(args, cfg):
         print(f"wrote {out_dir / 'patterns.csv'}")
         return 0
 
-    by_id = {s.entity_id: s for s in test_norm}
-    by_id.update({s.entity_id: s for s in _normalize_all(ds.train, model.schema)})
-    if args.entity not in by_id:
+    raw = next((s for s in ds.test + ds.train if s.entity_id == args.entity), None)
+    if raw is None:
         print(f"unknown entity id {args.entity!r}", file=sys.stderr)
         return 1
-    sample = by_id[args.entity]
-    fwd = model.forward([sample])
+    with ad.no_grad():
+        fwd = model.forward([normalize(raw, model.schema)])
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(fwd["y"].data[0].argmax())
     expl, E = explain.individual_explanation(

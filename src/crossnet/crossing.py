@@ -117,7 +117,7 @@ def cross_block(X1, Xprev, a, w_pca):
     [B, T*d, c_i] array kept for backward, and lrelu'(0) = 0.1 as in
     ``ad.leaky_relu``. Samples are taken
     in chunks of about ``_CHUNK_BYTES`` of L, so each pass over a chunk runs
-    from cache.
+    from cache; under ``ad.no_grad`` only one chunk of L exists at a time.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -131,16 +131,20 @@ def cross_block(X1, Xprev, a, w_pca):
     scale = 1.0 + a.data.reshape(B, c_i, 1)
     W_b = scale * w_pca.data                                   # [B, c_i, c_o]
     step = max(1, _CHUNK_BYTES // (8 * R * c_i))
-    chunks = [slice(s, s + step) for s in range(0, B, step)]
-    L = np.empty((B, R, n_prev, n1))
+    chunks = [slice(s, min(s + step, B)) for s in range(0, B, step)]
+    # without a backward to feed, each chunk's L goes to one reused scratch buffer
+    keep = ad.grad_enabled()
+    L = np.empty((B if keep else min(step, B), R, n_prev, n1))
     mixed = np.empty((B, R, c_o))
     for cs in chunks:
-        Lc = L[cs]
+        Lc = L[cs] if keep else L[:cs.stop - cs.start]
         np.einsum("brm,brk->brmk", xp[cs], x1[cs], out=Lc)
         np.maximum(Lc, 0.1 * Lc, out=Lc)
         np.matmul(Lc.reshape(-1, R, c_i), W_b[cs], out=mixed[cs])
-    L = L.reshape(B, R, c_i)
     out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
+    if not keep:
+        return out
+    L = L.reshape(B, R, c_i)
 
     def _bw(g, acc):
         Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)

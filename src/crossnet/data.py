@@ -121,7 +121,11 @@ def load_csv(path, schema_config):
             if not ok:
                 continue
             label_cell = row["label"]
-            label = int(label_cell) if label_cell != "" else None
+            try:
+                label = int(label_cell) if label_cell != "" else None
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: label {label_cell!r} is not an integer") from None
             by_entity.setdefault(row["entity_id"], []).append((period, values, label))
 
     samples = []

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
+
 log = logging.getLogger(__name__)
 
 
@@ -102,9 +104,10 @@ def rank1_attention_weights(model, samples, batch_size=256):
     """
     n1 = len(model.schema)
     acc = np.zeros(n1)
-    for start in range(0, len(samples), batch_size):
-        fwd = model.forward(samples[start:start + batch_size])
-        acc += fwd["p"].data[:, :n1].sum(axis=0)
+    with ad.no_grad():
+        for start in range(0, len(samples), batch_size):
+            p = model.forward(samples[start:start + batch_size])["p"].data
+            acc += p[:, :n1].sum(axis=0)
     total = acc.sum()
     return acc / total if total > 0 else np.full(n1, 1.0 / n1)
 
@@ -159,8 +162,14 @@ def emit_reports(patterns, explanations, out_dir):
 
     ``explanations`` maps entity_id -> (IndividualExplanation, E matrix).
     Heatmap cells are min-max normalized and rendered as grayscale rects
-    (a lone value maps to full intensity).
+    (a lone value maps to full intensity). Every entity id must be a plain
+    file name, so nothing is written outside ``out_dir``; a bad one raises
+    ValueError before any file is written.
     """
+    for entity_id in explanations:
+        name = str(entity_id)
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValueError(f"entity id {entity_id!r} is not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -60,6 +60,8 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.s % 2 == 0 or self.s < 1:
             raise ValueError(f"s must be odd and positive, got {self.s}")
+        if self.s > self.T:
+            raise ValueError(f"s must be at most T={self.T}, got {self.s}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         self.rank_widths = tuple(int(w) for w in self.rank_widths)
@@ -209,6 +211,10 @@ def train(train_samples, schema, config, log_every=0):
     """
     if not train_samples:
         raise ValueError("training split is empty")
+    for s in train_samples:
+        if not 0 <= s.label < config.k:
+            raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
+                             f"outside [0, {config.k})")
     model = Model(schema, config)
     params = model.params()
     rng = np.random.default_rng(config.seed)
@@ -283,10 +289,11 @@ def evaluate(model, samples, batch_size=256):
         raise ValueError("cannot evaluate on an empty sample list")
     preds = []
     pos_scores = []
-    for start in range(0, len(samples), batch_size):
-        fwd = model.forward(samples[start:start + batch_size])
-        preds.extend(fwd["y"].data.argmax(axis=-1).tolist())
-        pos_scores.extend(fwd["y"].data[:, 1].tolist())
+    with ad.no_grad():
+        for start in range(0, len(samples), batch_size):
+            y = model.forward(samples[start:start + batch_size])["y"].data
+            preds.extend(y.argmax(axis=-1).tolist())
+            pos_scores.extend(y[:, 1].tolist())
     labels = np.array([s.label for s in samples])
     preds = np.array(preds)
     return confusion_report(preds, labels, pos_scores)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,71 @@ def test_determinism():
     d2, g2 = run()
     np.testing.assert_array_equal(d1, d2)
     np.testing.assert_array_equal(g1, g2)
+
+
+def every_op(x, y, rows):
+    """Each op of the module once; x [2, 3] > 0, y [3, 3], rows [4, 3]."""
+    return [
+        ad.add(x, 1.0), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, y),
+        x + x, x * x, -x, x - x, x @ y,
+        ad.sigmoid(x), ad.tanh(x), ad.relu(x), ad.leaky_relu(x), ad.exp(x),
+        ad.log(x), ad.absolute(x), ad.power(x, 2.0), ad.clip(x, 0.2, 0.8),
+        ad.tsum(x), ad.tsum(x, axis=1, keepdims=True), ad.tmean(x, axis=0),
+        ad.softmax(x), ad.reshape(x, (3, 2)), ad.transpose(x, (1, 0)),
+        ad.concat([x, x], axis=0), ad.stack([x, x], axis=1),
+        ad.slice_axis(x, 1, 0, 2), ad.gather_rows(rows, [0, 3, 0]),
+        ad.pad_axis(x, 0, 1, 2),
+    ]
+
+
+class TestNoGrad:
+    def inputs(self):
+        rng = np.random.default_rng(3)
+        return (ad.Param(rng.uniform(0.1, 1.0, size=(2, 3)), name="x"),
+                ad.Param(rng.normal(size=(3, 3)), name="y"),
+                ad.Param(rng.normal(size=(4, 3)), name="rows"))
+
+    def test_every_op_records_nothing_and_computes_the_same(self):
+        x, y, rows = self.inputs()
+        graph = every_op(x, y, rows)
+        with ad.no_grad():
+            bare = every_op(x, y, rows)
+        assert all(t._parents for t in graph)
+        for g, b in zip(graph, bare):
+            assert b._parents == () and b._backward is None
+            np.testing.assert_array_equal(b.data, g.data)
+
+    def test_forward_graph_is_freed_without_the_collector(self):
+        x, y, rows = self.inputs()
+        gc.collect()
+        with ad.no_grad():
+            out = every_op(x, y, rows)
+        del out
+        assert gc.collect() == 0
+
+    def test_nesting_restores_the_mode(self):
+        assert ad.grad_enabled()
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.grad_enabled()
+            assert not ad.grad_enabled()
+        assert ad.grad_enabled()
+
+    def test_exception_restores_the_mode(self):
+        with pytest.raises(ad.ShapeError):
+            with ad.no_grad():
+                ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        assert ad.grad_enabled()
+        p = ad.Param(np.ones(2), name="p")
+        ad.backward(ad.tsum(ad.mul(p, p)))
+        np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+
+    def test_backward_rejects_a_loss_without_a_graph(self):
+        p = ad.Param(np.array([1.0, 2.0]), name="p")
+        with ad.no_grad():
+            loss = ad.tsum(ad.mul(p, p))
+        with pytest.raises(ValueError, match="no_grad"):
+            ad.backward(loss)
+        with pytest.raises(ValueError, match="no parents"):
+            ad.backward(ad.Tensor(3.0))
+        np.testing.assert_array_equal(p.grad, [0.0, 0.0])

@@ -2,8 +2,9 @@ import csv
 
 import pytest
 
+from crossnet import cli
 from crossnet.cli import ConfigError, main, parse_config
-from crossnet.data import (gen_synthetic_interaction, synthetic_schema_config,
+from crossnet.data import (gen_synthetic_interaction, normalize, synthetic_schema_config,
                            write_csv)
 
 SMALL_CONFIG = """
@@ -69,6 +70,17 @@ class TestParseConfig:
         p.write_text("ratio = 1.5\n")
         with pytest.raises(ConfigError, match="ratio"):
             parse_config(p)
+
+    def test_window_longer_than_time_span(self, tmp_path, data_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("fields = x1, x2, noise0\nT = 2\ns = 3\n")
+        with pytest.raises(ConfigError, match="s must be at most T=2"):
+            parse_config(p)
+        rc = main(["train", "--data", str(data_path), "--config", str(p),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_config_error_exit_code(self, tmp_path, data_path):
         p = tmp_path / "bad.cfg"
@@ -141,6 +153,19 @@ class TestTrainEval:
                          "--config", str(config_path), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_label_outside_classes_exits_one(self, tmp_path, config_path, capsys):
+        samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)
+        for s in samples[::4]:
+            s.label = 2
+        data = tmp_path / "data.csv"
+        write_csv(samples, data, synthetic_schema_config(1, 2))
+        rc = main(["train", "--data", str(data), "--config", str(config_path),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "has label 2, outside [0, 2)" in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_eval_prints_metrics(self, tmp_path, config_path, data_path, capsys):
         out = tmp_path / "m.ckpt"
         main(["train", "--data", str(data_path), "--config", str(config_path),
@@ -179,6 +204,40 @@ class TestExplainCommand:
         assert rc == 0
         assert (out_dir / "explain_s00000.csv").exists()
         assert (out_dir / "heatmap_s00000.svg").exists()
+
+    def test_entity_normalizes_only_that_sample(self, tmp_path, config_path, data_path,
+                                                trained, monkeypatch):
+        calls = []
+
+        def counting_normalize(sample, schema):
+            calls.append(sample.entity_id)
+            return normalize(sample, schema)
+
+        monkeypatch.setattr(cli, "normalize", counting_normalize)
+        ds = cli._load_split(data_path, parse_config(config_path))
+        entity = ds.train[0].entity_id
+        rc = main(["explain", "--data", str(data_path), "--model", str(trained),
+                   "--config", str(config_path), "--out", str(tmp_path / "expl"),
+                   "--entity", entity])
+        assert rc == 0
+        assert sorted(calls) == sorted([s.entity_id for s in ds.test] + [entity])
+
+    def test_entity_id_cannot_escape_out(self, tmp_path, config_path):
+        samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)
+        samples[0].entity_id = "x/../../escaped"
+        data = tmp_path / "data.csv"
+        write_csv(samples, data, synthetic_schema_config(1, 2))
+        model = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(config_path),
+                     "--out", str(model)]) == 0
+        out_dir = tmp_path / "expl"
+        (out_dir / "explain_x").mkdir(parents=True)
+        rc = main(["explain", "--data", str(data), "--model", str(model),
+                   "--config", str(config_path), "--out", str(out_dir),
+                   "--entity", "x/../../escaped"])
+        assert rc == 1
+        assert not (tmp_path / "escaped.csv").exists()
+        assert [p.name for p in out_dir.iterdir()] == ["explain_x"]
 
     def test_unknown_entity(self, tmp_path, config_path, data_path, trained):
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),

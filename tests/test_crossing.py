@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 
 import numpy as np
@@ -13,6 +14,9 @@ from crossnet.crossing import (CrossingBlock, cross_attention, cross_block,
                                cross_product, lasso_penalty, make_blocks,
                                pca_select, residual_scale, run_stack,
                                temporal_aggregate)
+from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
+                           synthetic_schema_config)
+from crossnet.model import Model, TrainConfig
 
 
 def rand(shape, seed=0):
@@ -366,3 +370,64 @@ class TestRunStack:
         params = [X1] + [p for b in blocks for p in b.params()]
         report = ad.grad_check(f, params)
         assert report["ok"], report
+
+
+def scoring_setup(B, T, noise, d, widths, seed):
+    """A seeded model and B normalized samples (schema fitted on 8 more)."""
+    raw = gen_synthetic_interaction(B + 8, T, noise, seed=seed)
+    schema = build_schema(raw, synthetic_schema_config(noise, T))
+    config = TrainConfig(T=T, d=d, rank_widths=widths, s=1, h=5, k=2, seed=seed)
+    return Model(schema, config), [normalize(s, schema) for s in raw[:B]]
+
+
+def block1_step(T, noise, d):
+    """Samples per cross_block chunk in the first block."""
+    n1 = 2 + noise
+    return max(1, crossing._CHUNK_BYTES // (8 * T * d * n1 * n1))
+
+
+def assert_forward_matches_grad_mode(model, samples):
+    want = model.forward(samples)
+    with ad.no_grad():
+        got = model.forward(samples)
+    for key in ("y", "r", "p", "q"):
+        np.testing.assert_array_equal(got[key].data, want[key].data)
+    for g, w in zip(got["stack"].ranks, want["stack"].ranks):
+        np.testing.assert_array_equal(g.data, w.data)
+
+
+class TestNoGradForward:
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(1, 3), noise=st.integers(0, 2), d=st.integers(1, 4),
+           widths=st.sampled_from([(2,), (3, 2)]), step=st.integers(1, 3),
+           past_step=st.booleans(), seed=st.integers(0, 2**16))
+    def test_bit_identical_to_grad_mode(self, T, noise, d, widths, step, past_step, seed):
+        # B = 1, or one past the first block's chunk step so its last chunk is partial
+        B = step + 1 if past_step else 1
+        model, samples = scoring_setup(B, T, noise, d, widths, seed)
+        with chunk_bytes(8 * T * d * (2 + noise) ** 2 * step):
+            assert block1_step(T, noise, d) == step
+            assert_forward_matches_grad_mode(model, samples)
+
+    def test_bit_identical_past_the_default_chunk_step(self):
+        B = block1_step(T=2, noise=2, d=8) + 1
+        model, samples = scoring_setup(B, 2, 2, 8, (8, 4), seed=4)
+        assert_forward_matches_grad_mode(model, samples)
+
+    def test_results_have_no_parents(self):
+        model, samples = scoring_setup(3, 2, 1, 4, (3, 2), seed=5)
+        with ad.no_grad():
+            fwd = model.forward(samples)
+        stack = fwd["stack"]
+        tensors = ([fwd[k] for k in ("y", "r", "p", "q")] + stack.ranks
+                   + stack.attentions + [stack.x_tilde])
+        for t in tensors:
+            assert t._parents == () and t._backward is None
+
+    def test_dropped_forward_leaves_no_cyclic_garbage(self):
+        model, samples = scoring_setup(3, 2, 1, 4, (3, 2), seed=6)
+        gc.collect()
+        with ad.no_grad():
+            fwd = model.forward(samples)
+        del fwd
+        assert gc.collect() == 0

@@ -59,6 +59,13 @@ class TestLoadCsv:
                      "a,0,1,1,\n" "a,1,oops,1,\n" "a,2,1,1,1\n")
         assert load_csv(path, basic_config) == []  # gap created by the bad row
 
+    def test_non_integer_label_names_line(self, tmp_path, basic_config):
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,f1,f2,label\n"
+                     "a,0,1,1,\n" "a,1,1,1,\n" "a,2,1,1,yes\n")
+        with pytest.raises(DataError, match=r"d\.csv:4: label 'yes' is not an integer"):
+            load_csv(path, basic_config)
+
     def test_missing_numeric_cell_becomes_nan(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv",
                      "entity_id,period_index,f1,f2,label\n"

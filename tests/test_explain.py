@@ -213,6 +213,16 @@ class TestEmitReports:
         assert rows[0] == ["time", "channel", "pattern", "score"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("bad", ["a/b", "..", ".", "", "a\\b", "x/../../escaped"])
+    def test_entity_id_must_be_a_plain_file_name(self, tmp_path, bad):
+        expl, E = individual_explanation([0.5, 0.5], [1.0], [1.0], 0, 2)
+        out = tmp_path / "out"
+        (out / "explain_x").mkdir(parents=True)   # would let "x/../../escaped" out
+        with pytest.raises(ValueError, match="not a plain file name"):
+            emit_reports([], {"acme": (expl, E), bad: (expl, E)}, out)
+        assert [p.name for p in out.iterdir()] == ["explain_x"]
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_single_cell_heatmap_full_intensity(self):
         svg = heatmap_svg(np.array([[0.37]]))
         assert 'fill="rgb(0,0,0)"' in svg

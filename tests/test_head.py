@@ -188,6 +188,13 @@ class TestTrain:
         improving = sum(1 for a, b in zip(losses, losses[1:]) if b <= a)
         assert improving >= 3, losses
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_classes_names_entity(self, label):
+        samples, schema = make_dataset(8)
+        samples[3].label = label
+        with pytest.raises(ValueError, match=f"'{samples[3].entity_id}' has label {label}"):
+            train(samples, schema, small_config())
+
     def test_empty_training_set(self):
         _, schema = make_dataset(4)
         with pytest.raises(ValueError):
