@@ -120,6 +120,27 @@ def _normalize_all(samples, schema):
     return [normalize(s, schema) for s in samples]
 
 
+class _Normalized:
+    """``samples`` normalized when a slice of them is taken.
+
+    ``evaluate`` and ``rank1_attention_weights`` take their batches as
+    slices, so a scoring command holds one batch of normalized samples at a
+    time instead of a normalized copy of the whole split.
+    """
+
+    def __init__(self, samples, schema):
+        self.samples = samples
+        self.schema = schema
+
+    def __len__(self):
+        return len(self.samples)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            raise TypeError("take samples as a slice")
+        return [normalize(s, self.schema) for s in self.samples[index]]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -186,8 +207,8 @@ def cmd_train(args, cfg):
 def cmd_eval(args, cfg):
     model = load_checkpoint(args.model)
     ds = _load_split(args.data, cfg)
-    samples = _normalize_all(ds.train + ds.test if args.all else ds.test, model.schema)
-    report = evaluate(model, samples)
+    report = evaluate(model, _Normalized(ds.train + ds.test if args.all else ds.test,
+                                         model.schema))
     print(report.as_table())
     print("tp,fp,fn,tn,acc,err1,err2,auc")
     print(f"{report.tp},{report.fp},{report.fn},{report.tn},"
@@ -198,7 +219,7 @@ def cmd_eval(args, cfg):
 def cmd_explain(args, cfg):
     model = load_checkpoint(args.model)
     ds = _load_split(args.data, cfg)
-    test_norm = _normalize_all(ds.test, model.schema)
+    test_norm = _Normalized(ds.test, model.schema)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 
@@ -216,14 +237,15 @@ def cmd_explain(args, cfg):
         return 1
     with ad.no_grad():
         fwd = model.forward([normalize(raw, model.schema)])
-    names = explain.channel_pattern_names(model.blocks, model.schema, eps)
+    per_rank = explain.channel_multisets(model.blocks, len(model.schema), eps)
+    names = explain.channel_pattern_names(model.blocks, model.schema, eps, per_rank)
     pred = int(fwd["y"].data[0].argmax())
     expl, E = explain.individual_explanation(
         fwd["p"].data[0], fwd["q"].data[0], fwd["r"].data[0], pred,
         model.config.top_k, pattern_names=names)
     r1 = explain.rank1_attention_weights(model, test_norm)
     patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
-                                          rank1_weights=r1)
+                                          rank1_weights=r1, per_rank=per_rank)
     explain.emit_reports(patterns, {args.entity: (expl, E)}, out_dir)
     print(f"wrote explanation files for {args.entity} in {out_dir}")
     return 0
@@ -293,7 +315,7 @@ def cmd_sweep(args, cfg):
         ds = _load_split(args.data, run)
         schema = build_schema(ds.train, run.schema_config())
         model, _ = train(_normalize_all(ds.train, schema), schema, run.train_config())
-        report = evaluate(model, _normalize_all(ds.test, schema))
+        report = evaluate(model, _Normalized(ds.test, schema))
         rows.append((v, report.acc, report.auc))
         print(f"{args.axis}={v}: acc={report.acc:.4f} auc={report.auc:.4f}")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

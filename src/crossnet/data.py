@@ -67,7 +67,13 @@ def _parse_multi(cell):
     out = {}
     for p in parts:
         name, _, w = p.partition(":")
-        out[name.strip()] = out.get(name.strip(), 0.0) + float(w)
+        try:
+            weight = float(w)
+        except ValueError:
+            raise DataError(f"bad weight {w!r} in multi-valued cell {cell!r}") from None
+        if not math.isfinite(weight):
+            raise DataError(f"non-finite weight {w!r} in multi-valued cell {cell!r}")
+        out[name.strip()] = out.get(name.strip(), 0.0) + weight
     total = sum(out.values())
     if total <= 0:
         raise DataError(f"multi-valued cell has no positive mass: {cell!r}")
@@ -79,7 +85,9 @@ def load_csv(path, schema_config):
 
     Entities without ``time_span`` consecutive trailing periods are dropped
     (count logged); rows with non-numeric cells in numerical fields are
-    skipped with a line-level warning.
+    skipped with a line-level warning. A short row, an infinite numeric
+    cell, a bad multi-valued cell or a non-integer label raises DataError
+    naming ``path:line``.
     """
     T = schema_config.time_span
     by_entity = {}
@@ -92,7 +100,12 @@ def load_csv(path, schema_config):
         for col in required:
             if col not in reader.fieldnames:
                 raise DataError(f"missing required column {col!r} in {path}")
-        for lineno, row in enumerate(reader, start=2):
+        last = reader.fieldnames[-1]    # a short row leaves the trailing cells None
+        for row in reader:
+            lineno = reader.line_num
+            if row[last] is None:
+                raise DataError(f"{path}:{lineno}: expected {len(reader.fieldnames)} "
+                                f"cells, got {sum(v is not None for v in row.values())}")
             values = {}
             try:
                 period = int(row["period_index"])
@@ -104,7 +117,10 @@ def load_csv(path, schema_config):
             for name in schema_config.fields:
                 cell = row[name]
                 if name in schema_config.multi_valued:
-                    values[name] = _parse_multi(cell)
+                    try:
+                        values[name] = _parse_multi(cell)
+                    except DataError as exc:
+                        raise DataError(f"{path}:{lineno}: field {name!r}: {exc}") from None
                 elif name in schema_config.categorical:
                     values[name] = cell
                 else:
@@ -112,12 +128,16 @@ def load_csv(path, schema_config):
                         values[name] = math.nan   # imputed at normalize time
                         continue
                     try:
-                        values[name] = float(cell)
+                        x = float(cell)
                     except ValueError:
                         log.warning("%s:%d: non-numeric value %r in field %r, row skipped",
                                     path, lineno, cell, name)
                         ok = False
                         break
+                    if x - x and math.isinf(x):     # x - x is 0.0 unless x is inf or nan
+                        raise DataError(
+                            f"{path}:{lineno}: infinite value {cell!r} in field {name!r}")
+                    values[name] = x
             if not ok:
                 continue
             label_cell = row["label"]

@@ -43,7 +43,7 @@ def extract_nonzero(w_pca, epsilon):
     return {(int(c), int(o), float(w[c, o])) for c, o in zip(ci, co)}
 
 
-def _channel_multisets(blocks, n1, epsilon):
+def channel_multisets(blocks, n1, epsilon):
     """Per rank, per output channel: dict of raw-field-index multiset -> path weight.
 
     Rank 1 channels are the raw fields themselves with weight 1; a rank-i
@@ -64,16 +64,18 @@ def _channel_multisets(blocks, n1, epsilon):
     return per_rank
 
 
-def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None):
+def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None, per_rank=None):
     """Per-rank combination patterns with weights normalized within each rank.
 
     Rank-1 weights come from ``rank1_weights`` (e.g. the feature-attention
     vector averaged over a data pass, restricted to rank-1 channels) and
-    default to uniform.
+    default to uniform. ``per_rank`` is ``channel_multisets(blocks, len(schema),
+    epsilon)``, computed here when not given.
     """
     n1 = len(schema)
     names = [f.name for f in schema]
-    per_rank = _channel_multisets(blocks, n1, epsilon)
+    if per_rank is None:
+        per_rank = channel_multisets(blocks, n1, epsilon)
     out = []
     for rank, channels in enumerate(per_rank, start=1):
         agg = {}
@@ -112,16 +114,17 @@ def rank1_attention_weights(model, samples, batch_size=256):
     return acc / total if total > 0 else np.full(n1, 1.0 / n1)
 
 
-def channel_pattern_names(blocks, schema, epsilon):
+def channel_pattern_names(blocks, schema, epsilon, per_rank=None):
     """For each of the N concatenated channels, a printable dominant pattern.
 
     Rank-1 channels print their field name; higher-rank channels print the
     highest-weight multiset among their retained paths, falling back to a
-    positional name when every path is below threshold.
+    positional name when every path is below threshold. ``per_rank`` is as
+    in ``backtrack_patterns``.
     """
-    n1 = len(schema)
     names = [f.name for f in schema]
-    per_rank = _channel_multisets(blocks, n1, epsilon)
+    if per_rank is None:
+        per_rank = channel_multisets(blocks, len(schema), epsilon)
     out = []
     for rank, channels in enumerate(per_rank, start=1):
         for chan in sorted(channels):
@@ -148,10 +151,10 @@ def individual_explanation(p, q, r, predicted_class, K, pattern_names=None):
     if K > T * N:
         log.warning("K=%d exceeds T*N=%d, clipping", K, T * N)
         K = T * N
-    cells = [(t, i) for t in range(T) for i in range(N)]
-    cells.sort(key=lambda ti: (-E[ti], ti[0], ti[1]))
+    # a stable sort of the row-major cells breaks ties by (time, channel)
     entries = []
-    for t, i in cells[:K]:
+    for flat in np.argsort(-E, axis=None, kind="stable")[:K].tolist():
+        t, i = divmod(flat, N)
         name = pattern_names[i] if pattern_names else f"ch{i}"
         entries.append((t, i, name, float(E[t, i])))
     return IndividualExplanation(entries=entries), E
@@ -204,9 +207,10 @@ def heatmap_svg(E, cell=20):
     T, N = E.shape
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{N * cell}" height="{T * cell}">']
-    for t in range(T):
-        for i in range(N):
-            g = int(round(255 * (1.0 - norm[t, i])))
+    # np.round rounds halves to even, as Python's round does
+    gray = np.round(255 * (1.0 - norm)).astype(np.int64).tolist()
+    for t, row in enumerate(gray):
+        for i, g in enumerate(row):
             lines.append(f'<rect x="{i * cell}" y="{t * cell}" width="{cell}" '
                          f'height="{cell}" fill="rgb({g},{g},{g})"/>')
     lines.append("</svg>")

@@ -284,18 +284,22 @@ def auc(scores, labels):
 
 
 def evaluate(model, samples, batch_size=256):
-    """Confusion counts, accuracy, type I/II errors and AUC on class-1 scores."""
+    """Confusion counts, accuracy, type I/II errors and AUC on class-1 scores.
+
+    ``samples`` needs only ``len`` and slicing: each batch is sliced once.
+    """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
     preds = []
     pos_scores = []
+    labels = []
     with ad.no_grad():
         for start in range(0, len(samples), batch_size):
-            y = model.forward(samples[start:start + batch_size])["y"].data
+            batch = samples[start:start + batch_size]
+            y = model.forward(batch)["y"].data
             preds.extend(y.argmax(axis=-1).tolist())
             pos_scores.extend(y[:, 1].tolist())
-    labels = np.array([s.label for s in samples])
-    preds = np.array(preds)
+            labels.extend(s.label for s in batch)
     return confusion_report(preds, labels, pos_scores)
 
 

@@ -2,10 +2,10 @@ import csv
 
 import pytest
 
-from crossnet import cli
+from crossnet import cli, explain, model
 from crossnet.cli import ConfigError, main, parse_config
-from crossnet.data import (gen_synthetic_interaction, normalize, synthetic_schema_config,
-                           write_csv)
+from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
+                           synthetic_schema_config, write_csv)
 
 SMALL_CONFIG = """
 # small synthetic run
@@ -244,6 +244,91 @@ class TestExplainCommand:
                    "--config", str(config_path), "--out", str(tmp_path / "x"),
                    "--entity", "nobody"])
         assert rc == 1
+
+
+class TestScoringHoldsOneBatch:
+    """eval and explain normalize each batch when they take it."""
+
+    @pytest.fixture
+    def portfolio(self, tmp_path, config_path):
+        # 700 entities: eval --all takes three batches of at most 256
+        samples = gen_synthetic_interaction(700, T=2, noise_fields=1, seed=1)
+        data = tmp_path / "big.csv"
+        write_csv(samples, data, synthetic_schema_config(1, 2))
+        cfg = parse_config(config_path)
+        ds = cli._load_split(data, cfg)
+        ckpt = tmp_path / "m.ckpt"
+        schema = build_schema(ds.train, cfg.schema_config())
+        model.save_checkpoint(model.Model(schema, cfg.train_config()), ckpt)
+        return data, ckpt, ds
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log = []
+
+        def counting_normalize(sample, schema):
+            log.append("normalize")
+            return normalize(sample, schema)
+
+        forward = model.Model.forward
+
+        def logging_forward(self, samples):
+            log.append(len(samples))
+            return forward(self, samples)
+
+        monkeypatch.setattr(cli, "normalize", counting_normalize)
+        monkeypatch.setattr(model.Model, "forward", logging_forward)
+        return log
+
+    def assert_one_batch_at_a_time(self, log, n_samples):
+        batches, pending = [], 0
+        for event in log:
+            if event == "normalize":
+                pending += 1
+            else:
+                assert pending == event <= 256
+                batches.append(event)
+                pending = 0
+        assert pending == 0 and sum(batches) == n_samples and len(batches) > 1
+
+    def test_eval(self, config_path, portfolio, events, capsys):
+        data, ckpt, ds = portfolio
+        assert main(["eval", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(config_path), "--all"]) == 0
+        self.assert_one_batch_at_a_time(events, len(ds.train) + len(ds.test))
+
+    def test_explain_static(self, tmp_path, portfolio, events):
+        data, ckpt, _ = portfolio
+        cfg = tmp_path / "wide_test.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("ratio = 0.75", "ratio = 0.25"))
+        ds = cli._load_split(data, parse_config(cfg))
+        assert main(["explain", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(cfg), "--out", str(tmp_path / "expl"),
+                     "--static"]) == 0
+        self.assert_one_batch_at_a_time(events, len(ds.test))
+
+    def test_eval_report_matches_a_normalized_list(self, portfolio):
+        _, ckpt, ds = portfolio
+        m = model.load_checkpoint(ckpt)
+        samples = ds.train + ds.test
+        assert (model.evaluate(m, cli._Normalized(samples, m.schema))
+                == model.evaluate(m, [normalize(s, m.schema) for s in samples]))
+
+    def test_entity_backtracks_the_patterns_once(self, tmp_path, config_path, portfolio,
+                                                 monkeypatch):
+        data, ckpt, ds = portfolio
+        calls = []
+        multisets = explain.channel_multisets
+
+        def counting(*args):
+            calls.append(args)
+            return multisets(*args)
+
+        monkeypatch.setattr(explain, "channel_multisets", counting)
+        assert main(["explain", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(config_path), "--out", str(tmp_path / "expl"),
+                     "--entity", ds.test[0].entity_id]) == 0
+        assert len(calls) == 1
 
 
 class TestBaselineCommand:

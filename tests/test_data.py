@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossnet.data import (DataError, SchemaConfig, SequencedSample,
                            build_schema, gen_synthetic_interaction, load_csv,
@@ -66,6 +69,38 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:4: label 'yes' is not an integer"):
             load_csv(path, basic_config)
 
+    def test_short_row_names_line(self, tmp_path, basic_config):
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,f1,f2,label\n"
+                     "a,0,1,1,\n" "a,1,1\n" "a,2,1,1,1\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: expected 5 cells, got 3"):
+            load_csv(path, basic_config)
+
+    @pytest.mark.parametrize("cell, message", [("x:oops", "bad weight 'oops'"),
+                                               ("x:1;y:inf", "non-finite weight 'inf'")])
+    def test_bad_multi_valued_weight_names_line(self, tmp_path, cell, message):
+        cfg = SchemaConfig(fields=["biz"], categorical={"biz"},
+                           multi_valued={"biz"}, time_span=1)
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,biz,label\n" "a,0,x:1,1\n" f"b,0,{cell},0\n")
+        with pytest.raises(DataError, match=rf"d\.csv:3: field 'biz': {message}"):
+            load_csv(path, cfg)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_numeric_cell_names_line(self, tmp_path, basic_config, cell):
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,f1,f2,label\n"
+                     f"a,0,1,1,\n" f"a,1,1,{cell},\n" "a,2,1,1,1\n")
+        with pytest.raises(DataError, match=rf"d\.csv:3: infinite value '{cell}' in field 'f2'"):
+            load_csv(path, basic_config)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path, basic_config):
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,f1,f2,label\n"
+                     "a,0,1,1,\n" "\n" "a,1,1,1,\n" "a,2,1,1,\n" "b,0,1,1,yes\n")
+        with pytest.raises(DataError, match=r"d\.csv:6: label 'yes'"):
+            load_csv(path, basic_config)
+
     def test_missing_numeric_cell_becomes_nan(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv",
                      "entity_id,period_index,f1,f2,label\n"
@@ -83,6 +118,31 @@ class TestLoadCsv:
         assert sample.steps[0]["biz"] == {"x": 0.5, "y": 0.5}
 
 
+_ID_CHARS = st.characters(codec="utf-8", exclude_characters="\0\r\n")
+_NAMES = st.text("abcxyz_-.0123456789", min_size=1, max_size=4)
+_NUMBERS = st.floats(allow_infinity=False) | st.just(math.nan)
+_WEIGHTS = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _samples(draw):
+    """Entities with a numeric, a categorical and a multi-valued field."""
+    T = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=6) | st.sampled_from(
+        ['a,b', '"q"', 'x, "y"', ' ,"', '""']), min_size=1, max_size=5, unique=True))
+    samples = []
+    for entity_id in ids:
+        steps = [{"num": draw(_NUMBERS), "cat": draw(_NAMES),
+                  "multi": draw(st.dictionaries(_NAMES, _WEIGHTS, min_size=1, max_size=3))}
+                 for _ in range(T)]
+        samples.append(SequencedSample(entity_id, steps, draw(st.integers(0, 3))))
+    return samples
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
 class TestRoundTrip:
     def test_write_then_load(self, tmp_path, basic_config):
         samples = [
@@ -95,6 +155,26 @@ class TestRoundTrip:
         write_csv(samples, path, basic_config)
         loaded = load_csv(str(path), basic_config)
         assert loaded == samples
+
+    @settings(max_examples=150, deadline=None)
+    @given(_samples())
+    def test_write_then_load_property(self, samples):
+        T = len(samples[0].steps)
+        cfg = SchemaConfig(fields=["num", "cat", "multi"], categorical={"cat", "multi"},
+                           multi_valued={"multi"}, time_span=T)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_csv(samples, path, cfg)
+            loaded = load_csv(str(path), cfg)
+        assert [s.entity_id for s in loaded] == sorted(s.entity_id for s in samples)
+        for got in loaded:
+            want = next(s for s in samples if s.entity_id == got.entity_id)
+            assert got.label == want.label and len(got.steps) == T
+            for g, w in zip(got.steps, want.steps):
+                assert _same(g["num"], w["num"]) and g["cat"] == w["cat"]
+                # the loader renormalizes the weights it reads, in written order
+                total = sum(w["multi"][k] for k in sorted(w["multi"]))
+                assert g["multi"] == {k: v / total for k, v in w["multi"].items()}
 
 
 class TestBuildSchema:

@@ -2,10 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossnet.crossing import CrossingBlock, make_blocks
 from crossnet.data import FeatureField
-from crossnet.explain import (backtrack_patterns, channel_pattern_names,
+from crossnet.explain import (IndividualExplanation, backtrack_patterns,
+                              channel_multisets, channel_pattern_names,
                               emit_reports, extract_nonzero, heatmap_svg,
                               individual_explanation)
 
@@ -176,6 +178,80 @@ class TestIndividualExplanation:
         assert [(e[0], e[1]) for e in e1.entries] == [(e[0], e[1]) for e in e2.entries]
 
 
+def reference_individual_explanation(p, q, r, predicted_class, K, pattern_names=None):
+    """The per-cell sort that ``individual_explanation`` replaced."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    scale = float(np.asarray(r).reshape(-1)[predicted_class])
+    E = scale * np.outer(q, p)
+    T, N = E.shape
+    K = min(K, T * N)
+    cells = [(t, i) for t in range(T) for i in range(N)]
+    cells.sort(key=lambda ti: (-E[ti], ti[0], ti[1]))
+    entries = []
+    for t, i in cells[:K]:
+        name = pattern_names[i] if pattern_names else f"ch{i}"
+        entries.append((t, i, name, float(E[t, i])))
+    return IndividualExplanation(entries=entries), E
+
+
+def reference_heatmap_svg(E, cell=20):
+    """The per-cell rounding that ``heatmap_svg`` replaced."""
+    E = np.asarray(E, dtype=np.float64)
+    lo, hi = E.min(), E.max()
+    norm = np.ones_like(E) if hi == lo else (E - lo) / (hi - lo)
+    T, N = E.shape
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{N * cell}" height="{T * cell}">']
+    for t in range(T):
+        for i in range(N):
+            g = int(round(255 * (1.0 - norm[t, i])))
+            lines.append(f'<rect x="{i * cell}" y="{t * cell}" width="{cell}" '
+                         f'height="{cell}" fill="rgb({g},{g},{g})"/>')
+    lines.append("</svg>")
+    return "\n".join(lines)
+
+
+# few distinct values make ties; k / 510 puts gray levels on exact halves
+_RANDOM = st.floats(0.0, 1.0)
+_TIED = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_HALVES = st.integers(0, 510).map(lambda k: k / 510)
+
+
+@st.composite
+def _vectors(draw, values):
+    T, N = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    return (draw(st.lists(values, min_size=N, max_size=N)),
+            draw(st.lists(values, min_size=T, max_size=T)))
+
+
+class TestReportsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_vectors(_RANDOM | _TIED), st.floats(-2.0, 2.0), st.integers(1, 50),
+           st.booleans())
+    def test_individual_explanation(self, pq, scale, K, named):
+        p, q = pq
+        names = [f"pat{i}" for i in range(len(p))] if named else None
+        got, E = individual_explanation(p, q, [0.1, scale], 1, K, pattern_names=names)
+        want, E_ref = reference_individual_explanation(p, q, [0.1, scale], 1, K,
+                                                       pattern_names=names)
+        assert got.entries == want.entries
+        assert np.array_equal(E, E_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vectors(_RANDOM | _TIED | _HALVES), st.sampled_from([1, 20]))
+    def test_heatmap_svg(self, pq, cell):
+        p, q = pq
+        E = np.outer(q, p)
+        assert heatmap_svg(E, cell) == reference_heatmap_svg(E, cell)
+
+    def test_heatmap_rounds_halves_to_even(self):
+        E = np.array([[0.0, 1 / 510, 3 / 510, 1.0]])   # 254.5, 253.5
+        svg = heatmap_svg(E)
+        assert svg == reference_heatmap_svg(E)
+        assert svg.count('rgb(254,254,254)') == 2
+
+
 class TestChannelPatternNames:
     def test_rank1_names_and_dominant_pattern(self):
         W = np.zeros((4, 2))
@@ -189,6 +265,14 @@ class TestChannelPatternNames:
         W = np.zeros((4, 1))
         names = channel_pattern_names([block_with(W, 2)], schema_of(2), 1e-4)
         assert names[2] == "rank2_ch0"
+
+    def test_shared_multisets_give_the_same_reports(self):
+        blocks = make_blocks(3, (4, 2), T=2, rng=np.random.default_rng(5))
+        per_rank = channel_multisets(blocks, 3, 1e-4)
+        assert (channel_pattern_names(blocks, schema_of(3), 1e-4, per_rank)
+                == channel_pattern_names(blocks, schema_of(3), 1e-4))
+        assert (backtrack_patterns(blocks, schema_of(3), 1e-4, per_rank=per_rank)
+                == backtrack_patterns(blocks, schema_of(3), 1e-4))
 
 
 class TestEmitReports:
