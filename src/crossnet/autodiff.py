@@ -238,14 +238,11 @@ def tsum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def _bw(g, acc):
-        if axis is None:
-            acc(a, np.broadcast_to(g, a.shape).copy())
-        else:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                for ax in sorted(ax % a.ndim for ax in axes):
-                    g = np.expand_dims(g, ax)
-            acc(a, np.broadcast_to(g, a.shape).copy())
+            for ax in sorted(ax % a.ndim for ax in axes):
+                g = np.expand_dims(g, ax)
+        acc(a, np.broadcast_to(g, a.shape))     # a read-only view; acc never writes to it
 
     return _record(out, _bw)
 
@@ -315,12 +312,7 @@ def slice_axis(a, axis, start, stop):
     idx = tuple(idx)
     out = Tensor(a.data[idx], (a,))
 
-    def _bw(g, acc):
-        full = np.zeros(a.shape)
-        full[idx] = g
-        acc(a, full)
-
-    return _record(out, _bw)
+    return _record(out, lambda g, acc: acc(a, g, idx))
 
 
 def gather_rows(a, indices):
@@ -391,16 +383,42 @@ def backward(loss):
                 stack_.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
+    owned = set()    # ids whose buffer acc allocated, so it may add into it in place
 
-    def acc(t, g):
+    def acc(t, g, idx=None):
+        """Add ``g`` to t's gradient, or to its ``idx`` region when given.
+
+        A first contribution is kept as passed, since it may be an upstream
+        array or a read-only view; the second makes a buffer of acc's own, and
+        later ones add into it in place. Contributions are summed in arrival
+        order, so the sums are those of allocating a new array for each.
+        """
         if isinstance(t, Param):
-            t.grad += g
+            if idx is None:
+                t.grad += g
+            else:
+                t.grad[idx] += g
         elif t._parents:
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
+            if key not in grads:
+                if idx is None:
+                    grads[key] = g
+                    return
+                buf = np.zeros(t.shape)
+                buf[idx] = g
+            elif key in owned:
+                if idx is None:
+                    grads[key] += g
+                else:
+                    grads[key][idx] += g
+                return
+            elif idx is None:
+                buf = grads[key] + g
             else:
-                grads[key] = g
+                buf = grads[key].copy()
+                buf[idx] += g
+            grads[key] = buf
+            owned.add(key)
 
     for node in reversed(topo):
         g = grads.pop(id(node), None)

@@ -105,6 +105,21 @@ def pca_select(crossed, w_pca):
 _CHUNK_BYTES = 1 << 20
 
 
+def _lrelu_cross(xp, x1, L, tmp):
+    """lrelu(xp_m ⊙ x1_k) for [n, R, n_prev] and [n, R, n1], as [n, R, n_prev*n1].
+
+    It is written to the front of the chunk buffer L, with ``tmp`` (as large
+    as L) for scratch: a fresh megabyte per chunk would page-fault.
+    """
+    n, R, _ = xp.shape
+    Lc = L[:n]
+    scaled = tmp.reshape(L.shape)[:n]
+    np.einsum("brm,brk->brmk", xp, x1, out=Lc)
+    np.multiply(Lc, 0.1, out=scaled)
+    np.maximum(Lc, scaled, out=Lc)
+    return Lc.reshape(n, R, -1)
+
+
 def cross_block(X1, Xprev, a, w_pca):
     """``pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)`` as one node.
 
@@ -113,11 +128,11 @@ def cross_block(X1, Xprev, a, w_pca):
     on rows r = (t, d) by crossed channels c = m*n1 + k. ``a`` is a softmax,
     so 1 + a > 0 and lrelu((1+a)·x) = (1+a)·lrelu(x): the attention scale folds
     into a per-sample weight W_b = diag(1 + a_b)·w_pca, and the block is
-    L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b. L is the only
-    [B, T*d, c_i] array kept for backward, and lrelu'(0) = 0.1 as in
-    ``ad.leaky_relu``. Samples are taken
-    in chunks of about ``_CHUNK_BYTES`` of L, so each pass over a chunk runs
-    from cache; under ``ad.no_grad`` only one chunk of L exists at a time.
+    L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b, with lrelu'(0) = 0.1
+    as in ``ad.leaky_relu``. Samples are taken in chunks of about
+    ``_CHUNK_BYTES`` of L, so each pass over a chunk runs from cache, and L is
+    never held whole: each chunk is written to one reused scratch buffer, and
+    backward recomputes it there with the same operations, so bit for bit.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -132,19 +147,14 @@ def cross_block(X1, Xprev, a, w_pca):
     W_b = scale * w_pca.data                                   # [B, c_i, c_o]
     step = max(1, _CHUNK_BYTES // (8 * R * c_i))
     chunks = [slice(s, min(s + step, B)) for s in range(0, B, step)]
-    # without a backward to feed, each chunk's L goes to one reused scratch buffer
-    keep = ad.grad_enabled()
-    L = np.empty((B if keep else min(step, B), R, n_prev, n1))
+    L = np.empty((min(step, B), R, n_prev, n1))
     mixed = np.empty((B, R, c_o))
+    tmp = np.empty_like(L)      # after the output: freed on return, it leaves no heap hole
     for cs in chunks:
-        Lc = L[cs] if keep else L[:cs.stop - cs.start]
-        np.einsum("brm,brk->brmk", xp[cs], x1[cs], out=Lc)
-        np.maximum(Lc, 0.1 * Lc, out=Lc)
-        np.matmul(Lc.reshape(-1, R, c_i), W_b[cs], out=mixed[cs])
+        np.matmul(_lrelu_cross(xp[cs], x1[cs], L, tmp), W_b[cs], out=mixed[cs])
     out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
-    if not keep:
+    if not ad.grad_enabled():
         return out
-    L = L.reshape(B, R, c_i)
 
     def _bw(g, acc):
         Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)
@@ -154,7 +164,7 @@ def cross_block(X1, Xprev, a, w_pca):
         dP = np.empty((min(step, B), R, c_i))
         slope = np.empty_like(dP)
         for cs in chunks:
-            Lc = L[cs]
+            Lc = _lrelu_cross(xp[cs], x1[cs], L, slope)
             n = Lc.shape[0]
             np.matmul(Gt[cs], Lc, out=Mt[cs])
             np.matmul(Gt[cs].transpose(0, 2, 1), W_b[cs].transpose(0, 2, 1), out=dP[:n])

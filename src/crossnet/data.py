@@ -85,9 +85,9 @@ def load_csv(path, schema_config):
 
     Entities without ``time_span`` consecutive trailing periods are dropped
     (count logged); rows with non-numeric cells in numerical fields are
-    skipped with a line-level warning. A short row, an infinite numeric
-    cell, a bad multi-valued cell or a non-integer label raises DataError
-    naming ``path:line``.
+    skipped with a line-level warning. A short or long row, an infinite
+    numeric cell, a bad multi-valued cell or a non-integer label raises
+    DataError naming ``path:line``.
     """
     T = schema_config.time_span
     by_entity = {}
@@ -100,12 +100,16 @@ def load_csv(path, schema_config):
         for col in required:
             if col not in reader.fieldnames:
                 raise DataError(f"missing required column {col!r} in {path}")
+        width = len(reader.fieldnames)
         last = reader.fieldnames[-1]    # a short row leaves the trailing cells None
         for row in reader:
             lineno = reader.line_num
             if row[last] is None:
-                raise DataError(f"{path}:{lineno}: expected {len(reader.fieldnames)} "
+                raise DataError(f"{path}:{lineno}: expected {width} "
                                 f"cells, got {sum(v is not None for v in row.values())}")
+            if None in row:             # a long row puts its extra cells under the key None
+                raise DataError(f"{path}:{lineno}: expected {width} "
+                                f"cells, got {width + len(row[None])}")
             values = {}
             try:
                 period = int(row["period_index"])

@@ -67,22 +67,3 @@ class EmbeddingLayer:
                                         ad.reshape(row, (self.d,))))
         return ad.stack(per_field, axis=2)
 
-
-def embed_categorical(value, table):
-    """Single-field embedding: index lookup or probability-weighted row sum.
-
-    ``value`` is a vocab/OOV index or a probability list of length c_j.
-    """
-    rows = table.shape[0]
-    if isinstance(value, (int, np.integer)):
-        if value >= rows:
-            raise IndexError(f"category index {value} out of range for {rows} rows")
-        return ad.reshape(ad.gather_rows(table, np.array([value])), (table.shape[1],))
-    probs = np.zeros(rows)
-    probs[:len(value)] = value
-    return ad.matmul(Tensor(probs), table)
-
-
-def embed_numerical(x, basis_vector):
-    """Scalar-vector product e = x * b."""
-    return ad.scale(basis_vector, float(x))

@@ -62,6 +62,7 @@ def test_criterion_01_gradient_correctness(tmp_path, announce):
              f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_planted_interaction(announce):
     start = time.monotonic()
     samples, _ = _dataset(2000, T=2, noise=2, seed=7)

@@ -1,7 +1,10 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossnet import autodiff as ad
 
@@ -288,3 +291,308 @@ class TestNoGrad:
         with pytest.raises(ValueError, match="no parents"):
             ad.backward(ad.Tensor(3.0))
         np.testing.assert_array_equal(p.grad, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# every op against finite differences, on random shapes
+# ---------------------------------------------------------------------------
+
+# at least 0.1 from every kink: 0 (relu, leaky_relu, absolute) and ±1 (clip)
+_VALUES = st.one_of(st.floats(-2.0, -1.1), st.floats(-0.9, -0.1),
+                    st.floats(0.1, 0.9), st.floats(1.1, 2.0))
+_POSITIVE = st.floats(0.1, 2.0)
+_DIM = st.integers(1, 3)
+
+
+def _param(data, shape, name="p", elements=_VALUES):
+    return ad.Param(data.draw(hnp.arrays(np.float64, shape, elements=elements)), name=name)
+
+
+def _shape(data, min_dims=1):
+    return data.draw(hnp.array_shapes(min_dims=min_dims, max_dims=3, max_side=3))
+
+
+def _axis(data, ndim):
+    return data.draw(st.integers(-ndim, ndim - 1))
+
+
+def _broadcast(op):
+    def build(data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(
+            num_shapes=2, min_dims=0, max_dims=3, max_side=3)).input_shapes
+        a, b = _param(data, shapes[0], "a"), _param(data, shapes[1], "b")
+        return (lambda: op(a, b)), [a, b]
+    return build
+
+
+def _unary(op, elements=_VALUES):
+    def build(data):
+        x = _param(data, _shape(data, min_dims=0), "x", elements)
+        return (lambda: op(x)), [x]
+    return build
+
+
+def _matmul(data):
+    b, n, k, m = (data.draw(_DIM) for _ in range(4))
+    shapes = data.draw(st.sampled_from([
+        ((n, k), (k, m)), ((b, n, k), (k, m)), ((b, n, k), (b, k, m)),
+        ((1, n, k), (b, k, m)), ((b, n, k), (k,)), ((k,), (k, m))]))
+    x, y = _param(data, shapes[0], "a"), _param(data, shapes[1], "b")
+    return (lambda: ad.matmul(x, y)), [x, y]
+
+
+def _tsum(data):
+    x = _param(data, _shape(data), "x")
+    axes = data.draw(st.lists(st.integers(0, x.ndim - 1), min_size=1, unique=True))
+    axis = data.draw(st.sampled_from([None, axes[0] - x.ndim, tuple(axes)]))
+    keepdims = data.draw(st.booleans())
+    return (lambda: ad.tsum(x, axis=axis, keepdims=keepdims)), [x]
+
+
+def _tmean(data):
+    x = _param(data, _shape(data), "x")
+    axis = data.draw(st.none() | st.integers(0, x.ndim - 1))
+    return (lambda: ad.tmean(x, axis=axis)), [x]
+
+
+def _softmax(data):
+    x = _param(data, _shape(data), "x")
+    axis = _axis(data, x.ndim)
+    return (lambda: ad.softmax(x, axis=axis)), [x]
+
+
+def _reshape(data):
+    x = _param(data, _shape(data), "x")
+    return (lambda: ad.reshape(x, x.shape[::-1])), [x]
+
+
+def _transpose(data):
+    x = _param(data, _shape(data), "x")
+    axes = data.draw(st.permutations(range(x.ndim)))
+    return (lambda: ad.transpose(x, axes)), [x]
+
+
+def _concat(data):
+    shape = _shape(data)
+    axis = _axis(data, len(shape))
+    other = list(shape)
+    other[axis] = data.draw(_DIM)
+    a, b = _param(data, shape, "a"), _param(data, tuple(other), "b")
+    return (lambda: ad.concat([a, b, a], axis=axis)), [a, b]
+
+
+def _stack(data):
+    shape = _shape(data)
+    axis = data.draw(st.integers(0, len(shape)))
+    a, b = _param(data, shape, "a"), _param(data, shape, "b")
+    return (lambda: ad.stack([a, b], axis=axis)), [a, b]
+
+
+def _slice(data):
+    x = _param(data, _shape(data), "x")
+    axis = _axis(data, x.ndim)
+    start = data.draw(st.integers(0, x.shape[axis] - 1))
+    stop = data.draw(st.integers(start + 1, x.shape[axis]))
+    return (lambda: ad.slice_axis(x, axis, start, stop)), [x]
+
+
+def _gather(data):
+    table = _param(data, (data.draw(_DIM), data.draw(_DIM)), "table")
+    idx = data.draw(hnp.arrays(np.intp, _shape(data), elements=st.integers(0, table.shape[0] - 1)))
+    return (lambda: ad.gather_rows(table, idx)), [table]
+
+
+def _pad(data):
+    x = _param(data, _shape(data), "x")
+    axis = _axis(data, x.ndim)
+    before, after = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    return (lambda: ad.pad_axis(x, axis, before, after)), [x]
+
+
+OPS = {
+    "add": _broadcast(ad.add), "mul": _broadcast(ad.mul),
+    "scale": _unary(lambda x: ad.scale(x, -1.5)), "matmul": _matmul,
+    "sigmoid": _unary(ad.sigmoid), "tanh": _unary(ad.tanh), "relu": _unary(ad.relu),
+    "leaky_relu": _unary(ad.leaky_relu), "exp": _unary(ad.exp),
+    "log": _unary(ad.log, _POSITIVE), "absolute": _unary(ad.absolute),
+    "power": _unary(lambda x: ad.power(x, 3.0)), "clip": _unary(lambda x: ad.clip(x, -1.0, 1.0)),
+    "tsum": _tsum, "tmean": _tmean, "softmax": _softmax, "reshape": _reshape,
+    "transpose": _transpose, "concat": _concat, "stack": _stack, "slice_axis": _slice,
+    "gather_rows": _gather, "pad_axis": _pad,
+}
+
+
+class TestEveryOpGradient:
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_finite_differences(self, op, data):
+        build, params = OPS[op](data)
+        # positive weights, so no gradient entry cancels to a rounding-level zero
+        R = ad.Tensor(np.random.default_rng(0).uniform(0.5, 1.5, size=build().shape))
+        finite_diff_check(lambda: ad.tsum(ad.mul(build(), R)), params)
+
+
+# ---------------------------------------------------------------------------
+# in-place accumulation against the allocating reference
+# ---------------------------------------------------------------------------
+
+def reference_backward(loss):
+    """``ad.backward`` as it was before gradients were accumulated in place.
+
+    Every sum is a new array and every slice contribution is first spread
+    into a zero-filled array of its node's shape. Same traversal as
+    ``ad.backward``, so contributions arrive in the same order.
+    """
+    topo = []
+    visited = set()
+    stack_ = [(loss, False)]
+    while stack_:
+        node, processed = stack_.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack_.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack_.append((p, False))
+
+    grads = {id(loss): np.ones_like(loss.data)}
+
+    def acc(t, g, idx=None):
+        if idx is not None:
+            full = np.zeros(t.shape)
+            full[idx] = g
+            g = full
+        if isinstance(t, ad.Param):
+            t.grad += g
+        elif t._parents:
+            key = id(t)
+            if key in grads:
+                grads[key] = grads[key] + g
+            else:
+                grads[key] = g
+
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None or node._backward is None:
+            continue
+        node._backward(g, acc)
+
+
+def graph_nodes(loss):
+    nodes, todo, seen = [], [loss], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
+
+
+def recorded_backward(backward, loss, params):
+    """Run ``backward`` on ``loss`` and return what it computed.
+
+    Returns each node's incoming gradient (by id), the params' grads, and for
+    each receiving node its contributions in arrival order as "view" (read
+    only), "slice" (added into a region) or "array". Fails if any node's data,
+    or any array handed from one node to another, changed after it was made.
+    """
+    ad.zero_grads(params)
+    nodes = graph_nodes(loss)
+    handed = [(n.data, n.data.copy()) for n in nodes]
+    incoming, arrivals = {}, {}
+    saved = [(n, n._backward) for n in nodes if n._backward is not None]
+
+    def spy(node, rule):
+        def run(g, acc):
+            incoming[id(node)] = g.copy()
+
+            def spy_acc(t, c, *idx):
+                handed.append((c, np.array(c)))
+                kind = "slice" if idx else ("array" if c.flags.writeable else "view")
+                arrivals.setdefault(id(t), []).append(kind)
+                acc(t, c, *idx)
+
+            rule(g, spy_acc)
+        return run
+
+    for n, rule in saved:
+        n._backward = spy(n, rule)
+    try:
+        backward(loss)
+    finally:
+        for n, rule in saved:
+            n._backward = rule
+    for array, copy in handed:
+        assert array.tobytes() == copy.tobytes(), "an array was written after it was handed on"
+    grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    return incoming, grads, arrivals
+
+
+def assert_same_as_reference(loss, params, target):
+    """In-place and reference backward give the same bits; ``target`` gets 3+ contributions."""
+    got, got_grads, arrivals = recorded_backward(ad.backward, loss, params)
+    want, want_grads, _ = recorded_backward(reference_backward, loss, params)
+    assert len(arrivals[id(target)]) >= 3
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.tobytes() == w.tobytes()
+    return arrivals[id(target)]
+
+
+def _rand(rng, *shape):
+    return ad.Tensor(rng.normal(size=shape))
+
+
+class TestInPlaceAccumulation:
+    def test_overlapping_windows_of_a_padded_tensor(self):
+        rng = np.random.default_rng(20)
+        x = ad.Param(rng.normal(size=(2, 4, 3)), name="x")
+        padded = ad.pad_axis(ad.tanh(x), 1, 2, 2)                     # [2, 8, 3]
+        windows = [ad.tsum(ad.mul(ad.slice_axis(padded, 1, s, s + 3), _rand(rng, 2, 3, 3)))
+                   for s in range(6)]
+        loss = windows[0]
+        for w in windows[1:]:
+            loss = ad.add(loss, w)
+        assert assert_same_as_reference(loss, [x], padded) == ["slice"] * 6
+
+    def test_a_node_added_to_itself_and_used_again(self):
+        rng = np.random.default_rng(21)
+        p = ad.Param(rng.normal(size=(3, 4)), name="p")
+        h = ad.tanh(p)
+        y = ad.add(ad.add(h, h), ad.mul(h, _rand(rng, 3, 4)))
+        loss = ad.tsum(ad.mul(y, _rand(rng, 3, 4)))
+        assert_same_as_reference(loss, [p], h)
+
+    def test_broadcast_view_then_slice_in_every_order(self):
+        orders = set()
+        for perm in itertools.permutations(range(3)):
+            rng = np.random.default_rng(22)
+            p = ad.Param(rng.normal(size=(4, 3)), name="p")
+            h = ad.mul(p, _rand(rng, 4, 3))
+            terms = [ad.tsum(h),
+                     ad.tsum(ad.mul(ad.slice_axis(h, 0, 1, 3), _rand(rng, 2, 3))),
+                     ad.tsum(ad.mul(h, _rand(rng, 4, 3)))]
+            loss = terms[perm[0]]
+            for i in perm[1:]:
+                loss = ad.add(loss, terms[i])
+            orders.add(tuple(assert_same_as_reference(loss, [p], h)))
+        assert ("view", "slice", "array") in orders
+
+    def test_param_read_through_slices(self):
+        rng = np.random.default_rng(23)
+        basis = ad.Param(rng.normal(size=(4, 3)), name="basis")
+        reads = [ad.slice_axis(basis, 0, i, i + 1) for i in range(4)]
+        reads += [ad.slice_axis(basis, 0, 0, 2), ad.slice_axis(basis, 0, 1, 4), basis]
+        loss = ad.tsum(ad.mul(reads[0], _rand(rng, 1, 3)))
+        for r in reads[1:]:
+            loss = ad.add(loss, ad.tsum(ad.mul(r, _rand(rng, *r.shape))))
+        assert_same_as_reference(loss, [basis], basis)

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,26 @@ class TestCrossBlock:
                   ad.Param(draw((n_prev * n1, c_o)), name="w_pca")]
         assert_matches_chain(params, draw((B, T, c_o, d)),
                              data.draw(st.sampled_from([8, 1 << 20])))
+
+    def test_grad_mode_forward_keeps_under_two_chunks_of_products(self):
+        B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=7)
+        chunk = 2 * 8 * T * d * n_prev * n1            # two samples of L per chunk
+        gc.collect()
+        with chunk_bytes(chunk):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = cross_block(*params)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        X1, Xprev, a, _ = params
+        # beyond its output the node may keep a copy of X1 and Xprev and, per
+        # sample, 1 + a and the weights (1 + a)·w_pca; any more is crossed products
+        inputs = X1.data.nbytes + Xprev.data.nbytes + a.data.nbytes * (1 + c_o)
+        assert B * T * d * n_prev * n1 * 8 == 8 * chunk
+        assert kept - out.data.nbytes - inputs < 2 * chunk
 
     def test_shape_mismatch_rejected(self):
         X1, Xprev, a, w = block_inputs(1, 2, 3, 2, 2, 2, seed=0)

@@ -76,6 +76,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:3: expected 5 cells, got 3"):
             load_csv(path, basic_config)
 
+    def test_long_row_names_line(self, tmp_path):
+        # one cell too many shifts nothing: f1 = 2 and label 7 would load silently
+        path = write(tmp_path / "d.csv",
+                     "entity_id,period_index,f1,label\n" "a,0,1,1\n" "a,1,2,7,1\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: expected 4 cells, got 5"):
+            load_csv(path, SchemaConfig(fields=["f1"], time_span=1))
+
     @pytest.mark.parametrize("cell, message", [("x:oops", "bad weight 'oops'"),
                                                ("x:1;y:inf", "non-finite weight 'inf'")])
     def test_bad_multi_valued_weight_names_line(self, tmp_path, cell, message):

@@ -3,7 +3,7 @@ import pytest
 
 from crossnet import autodiff as ad
 from crossnet.data import FeatureField, SequencedSample
-from crossnet.embedding import EmbeddingLayer, embed_categorical, embed_numerical
+from crossnet.embedding import EmbeddingLayer
 
 
 def make_schema():
@@ -19,48 +19,74 @@ def make_sample(cat_idx, n1, n2, T=2):
     return SequencedSample("e", steps, 0)
 
 
+def embed_step(layer, step):
+    """embed_batch of a single one-period sample: one [n1, d] array."""
+    return layer.embed_batch([SequencedSample("e", [step], 0)]).data[0, 0]
+
+
+def categorical_layer(table, multi_valued=False, vocab=("a", "b")):
+    """One categorical field whose lookup table (vocab rows, then OOV) is ``table``."""
+    schema = [FeatureField("c", "categorical", vocab=list(vocab), multi_valued=multi_valued)]
+    layer = EmbeddingLayer(schema, d=table.shape[1], rng=np.random.default_rng(0))
+    layer.tables["c"].data = table
+    return layer
+
+
+def numerical_layer(basis_vector):
+    layer = EmbeddingLayer([FeatureField("n", "numerical")], d=basis_vector.shape[0],
+                           rng=np.random.default_rng(0))
+    layer.basis.data = basis_vector[None, :].copy()
+    return layer
+
+
 class TestEmbedCategorical:
     def test_index_lookup(self):
-        table = ad.Param(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), name="t")
-        np.testing.assert_array_equal(embed_categorical(1, table).data, [3.0, 4.0])
+        layer = categorical_layer(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(embed_step(layer, {"c": 1}), [[3.0, 4.0]])
+
+    def test_oov_index_takes_the_trailing_row(self):
+        layer = categorical_layer(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(embed_step(layer, {"c": 2}), [[5.0, 6.0]])
 
     def test_distribution_weighted_sum(self):
-        table = ad.Param(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]), name="t")
-        out = embed_categorical([0.5, 0.5], table)
-        np.testing.assert_allclose(out.data, [2.0, 3.0])
+        layer = categorical_layer(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]),
+                                  multi_valued=True)
+        np.testing.assert_allclose(embed_step(layer, {"c": [0.5, 0.5]}), [[2.0, 3.0]])
 
     def test_degenerate_distribution(self):
-        table = ad.Param(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]), name="t")
-        out = embed_categorical([1.0, 0.0], table)
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
+        layer = categorical_layer(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]),
+                                  multi_valued=True)
+        np.testing.assert_allclose(embed_step(layer, {"c": [1.0, 0.0]}), [[1.0, 2.0]])
 
     def test_onehot_equals_lookup(self):
-        rng = np.random.default_rng(0)
-        table = ad.Param(rng.normal(size=(4, 3)), name="t")
+        table = np.random.default_rng(0).normal(size=(4, 3))
+        vocab = ("a", "b", "c")
+        multi = categorical_layer(table, multi_valued=True, vocab=vocab)
+        single = categorical_layer(table, vocab=vocab)
         for i in range(3):
             probs = [0.0] * 3
             probs[i] = 1.0
-            np.testing.assert_array_equal(embed_categorical(probs, table).data,
-                                          embed_categorical(i, table).data)
+            np.testing.assert_array_equal(embed_step(multi, {"c": probs}),
+                                          embed_step(single, {"c": i}))
 
     def test_out_of_range(self):
-        table = ad.Param(np.zeros((3, 2)), name="t")
+        layer = categorical_layer(np.zeros((3, 2)))
         with pytest.raises(IndexError):
-            embed_categorical(3, table)
+            embed_step(layer, {"c": 3})
 
 
 class TestEmbedNumerical:
     def test_scaling(self):
-        b = ad.Param(np.array([0.1, 0.2]), name="b")
-        np.testing.assert_allclose(embed_numerical(2.0, b).data, [0.2, 0.4])
+        layer = numerical_layer(np.array([0.1, 0.2]))
+        np.testing.assert_allclose(embed_step(layer, {"n": 2.0}), [[0.2, 0.4]])
 
     def test_zero(self):
-        b = ad.Param(np.array([0.1, 0.2]), name="b")
-        np.testing.assert_array_equal(embed_numerical(0.0, b).data, [0.0, 0.0])
+        layer = numerical_layer(np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(embed_step(layer, {"n": 0.0}), [[0.0, 0.0]])
 
     def test_identity_scale(self):
-        b = ad.Param(np.array([0.1, 0.2]), name="b")
-        np.testing.assert_array_equal(embed_numerical(1.0, b).data, b.data)
+        layer = numerical_layer(np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(embed_step(layer, {"n": 1.0}), layer.basis.data)
 
 
 class TestEmbedSample:
