@@ -219,12 +219,11 @@ def cmd_eval(args, cfg):
 def cmd_explain(args, cfg):
     model = load_checkpoint(args.model)
     ds = _load_split(args.data, cfg)
-    test_norm = _Normalized(ds.test, model.schema)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 
     if args.static:
-        r1 = explain.rank1_attention_weights(model, test_norm)
+        r1 = explain.rank1_attention_weights(model, _Normalized(ds.test, model.schema))
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
@@ -237,16 +236,12 @@ def cmd_explain(args, cfg):
         return 1
     with ad.no_grad():
         fwd = model.forward([normalize(raw, model.schema)])
-    per_rank = explain.channel_multisets(model.blocks, len(model.schema), eps)
-    names = explain.channel_pattern_names(model.blocks, model.schema, eps, per_rank)
+    names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(fwd["y"].data[0].argmax())
     expl, E = explain.individual_explanation(
         fwd["p"].data[0], fwd["q"].data[0], fwd["r"].data[0], pred,
         model.config.top_k, pattern_names=names)
-    r1 = explain.rank1_attention_weights(model, test_norm)
-    patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
-                                          rank1_weights=r1, per_rank=per_rank)
-    explain.emit_reports(patterns, {args.entity: (expl, E)}, out_dir)
+    explain.emit_reports(None, {args.entity: (expl, E)}, out_dir)
     print(f"wrote explanation files for {args.entity} in {out_dir}")
     return 0
 
@@ -360,8 +355,8 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="explanations")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--entity")
-    group.add_argument("--static", action="store_true")
+    group.add_argument("--entity", help="write explain_<id>.csv and heatmap_<id>.svg")
+    group.add_argument("--static", action="store_true", help="write patterns.csv")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("baseline", help="run a linear baseline")

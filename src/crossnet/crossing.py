@@ -133,6 +133,8 @@ def cross_block(X1, Xprev, a, w_pca):
     ``_CHUNK_BYTES`` of L, so each pass over a chunk runs from cache, and L is
     never held whole: each chunk is written to one reused scratch buffer, and
     backward recomputes it there with the same operations, so bit for bit.
+    Backward then lets go of the node's saved arrays, so it runs once per
+    graph; a second backward through the node raises ValueError.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -157,6 +159,10 @@ def cross_block(X1, Xprev, a, w_pca):
         return out
 
     def _bw(g, acc):
+        nonlocal xp, x1, W_b, scale, L
+        if L is None:
+            raise ValueError("cross_block's backward already ran on this graph, "
+                             "and its saved arrays are freed")
         Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)
         Mt = np.empty((B, c_o, c_i))                           # M_b = L_bᵀ G_b, transposed
         dxp = np.empty((B, R, n_prev, 1))
@@ -180,6 +186,8 @@ def cross_block(X1, Xprev, a, w_pca):
         acc(a, (M * w_pca.data).sum(axis=2).reshape(B, n_prev, n1))
         acc(Xprev, dxp.reshape(B, T, d, n_prev).transpose(0, 1, 3, 2))
         acc(X1, dx1.reshape(B, T, d, n1).transpose(0, 1, 3, 2))
+        # the graph can outlive this call, waiting for the cyclic collector
+        xp = x1 = W_b = scale = L = None
 
     out._backward = _bw
     return out

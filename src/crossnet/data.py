@@ -73,6 +73,8 @@ def _parse_multi(cell):
             raise DataError(f"bad weight {w!r} in multi-valued cell {cell!r}") from None
         if not math.isfinite(weight):
             raise DataError(f"non-finite weight {w!r} in multi-valued cell {cell!r}")
+        if weight < 0:
+            raise DataError(f"negative weight {w!r} in multi-valued cell {cell!r}")
         out[name.strip()] = out.get(name.strip(), 0.0) + weight
     total = sum(out.values())
     if total <= 0:
@@ -86,8 +88,8 @@ def load_csv(path, schema_config):
     Entities without ``time_span`` consecutive trailing periods are dropped
     (count logged); rows with non-numeric cells in numerical fields are
     skipped with a line-level warning. A short or long row, an infinite
-    numeric cell, a bad multi-valued cell or a non-integer label raises
-    DataError naming ``path:line``.
+    numeric cell, a bad multi-valued cell, a non-integer label or a second
+    row for an (entity, period) pair raises DataError naming ``path:line``.
     """
     T = schema_config.time_span
     by_entity = {}
@@ -150,13 +152,18 @@ def load_csv(path, schema_config):
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: label {label_cell!r} is not an integer") from None
-            by_entity.setdefault(row["entity_id"], []).append((period, values, label))
+            by_entity.setdefault(row["entity_id"], []).append((period, values, label, lineno))
 
     samples = []
     dropped = 0
     for entity_id, rows in by_entity.items():
         rows.sort(key=lambda r: r[0])
         periods = [r[0] for r in rows]
+        if len(set(periods)) < len(periods):
+            # the sort is stable, so a repeat follows its first row
+            first, again = next((a, b) for a, b in zip(rows, rows[1:]) if a[0] == b[0])
+            raise DataError(f"{path}:{again[3]}: entity {entity_id!r} repeats period "
+                            f"{again[0]} of line {first[3]}")
         # take the trailing window of T consecutive periods, if there is one
         if len(rows) < T or periods[-T:] != list(range(periods[-T], periods[-T] + T)):
             dropped += 1

@@ -64,20 +64,17 @@ def channel_multisets(blocks, n1, epsilon):
     return per_rank
 
 
-def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None, per_rank=None):
+def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None):
     """Per-rank combination patterns with weights normalized within each rank.
 
     Rank-1 weights come from ``rank1_weights`` (e.g. the feature-attention
     vector averaged over a data pass, restricted to rank-1 channels) and
-    default to uniform. ``per_rank`` is ``channel_multisets(blocks, len(schema),
-    epsilon)``, computed here when not given.
+    default to uniform.
     """
     n1 = len(schema)
     names = [f.name for f in schema]
-    if per_rank is None:
-        per_rank = channel_multisets(blocks, n1, epsilon)
     out = []
-    for rank, channels in enumerate(per_rank, start=1):
+    for rank, channels in enumerate(channel_multisets(blocks, n1, epsilon), start=1):
         agg = {}
         if rank == 1:
             weights = (np.full(n1, 1.0 / n1) if rank1_weights is None
@@ -114,19 +111,16 @@ def rank1_attention_weights(model, samples, batch_size=256):
     return acc / total if total > 0 else np.full(n1, 1.0 / n1)
 
 
-def channel_pattern_names(blocks, schema, epsilon, per_rank=None):
+def channel_pattern_names(blocks, schema, epsilon):
     """For each of the N concatenated channels, a printable dominant pattern.
 
     Rank-1 channels print their field name; higher-rank channels print the
     highest-weight multiset among their retained paths, falling back to a
-    positional name when every path is below threshold. ``per_rank`` is as
-    in ``backtrack_patterns``.
+    positional name when every path is below threshold.
     """
     names = [f.name for f in schema]
-    if per_rank is None:
-        per_rank = channel_multisets(blocks, len(schema), epsilon)
     out = []
-    for rank, channels in enumerate(per_rank, start=1):
+    for rank, channels in enumerate(channel_multisets(blocks, len(schema), epsilon), start=1):
         for chan in sorted(channels):
             patterns = channels[chan]
             if not patterns:
@@ -163,7 +157,8 @@ def individual_explanation(p, q, r, predicted_class, K, pattern_names=None):
 def emit_reports(patterns, explanations, out_dir):
     """Write patterns.csv plus explain_<id>.csv and heatmap_<id>.svg per entity.
 
-    ``explanations`` maps entity_id -> (IndividualExplanation, E matrix).
+    ``patterns`` of None writes no patterns.csv (an empty list writes its
+    header). ``explanations`` maps entity_id -> (IndividualExplanation, E matrix).
     Heatmap cells are min-max normalized and rendered as grayscale rects
     (a lone value maps to full intensity). Every entity id must be a plain
     file name, so nothing is written outside ``out_dir``; a bad one raises
@@ -177,13 +172,14 @@ def emit_reports(patterns, explanations, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    path = out_dir / "patterns.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "pattern", "weight"])
-        for pat in patterns:
-            writer.writerow([pat.rank, ",".join(pat.features), f"{pat.weight:.6g}"])
-    written.append(path)
+    if patterns is not None:
+        path = out_dir / "patterns.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rank", "pattern", "weight"])
+            for pat in patterns:
+                writer.writerow([pat.rank, ",".join(pat.features), f"{pat.weight:.6g}"])
+        written.append(path)
 
     for entity_id, (expl, E) in explanations.items():
         path = out_dir / f"explain_{entity_id}.csv"

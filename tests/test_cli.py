@@ -202,8 +202,9 @@ class TestExplainCommand:
                    "--config", str(config_path), "--out", str(out_dir),
                    "--entity", "s00000"])
         assert rc == 0
-        assert (out_dir / "explain_s00000.csv").exists()
-        assert (out_dir / "heatmap_s00000.svg").exists()
+        # patterns.csv is --static's output
+        assert sorted(p.name for p in out_dir.iterdir()) == ["explain_s00000.csv",
+                                                             "heatmap_s00000.svg"]
 
     def test_entity_normalizes_only_that_sample(self, tmp_path, config_path, data_path,
                                                 trained, monkeypatch):
@@ -213,14 +214,18 @@ class TestExplainCommand:
             calls.append(sample.entity_id)
             return normalize(sample, schema)
 
+        def no_split_pass(*args, **kwargs):
+            raise AssertionError("explain --entity scored the test split")
+
         monkeypatch.setattr(cli, "normalize", counting_normalize)
+        monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
         ds = cli._load_split(data_path, parse_config(config_path))
         entity = ds.train[0].entity_id
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),
                    "--config", str(config_path), "--out", str(tmp_path / "expl"),
                    "--entity", entity])
         assert rc == 0
-        assert sorted(calls) == sorted([s.entity_id for s in ds.test] + [entity])
+        assert calls == [entity]
 
     def test_entity_id_cannot_escape_out(self, tmp_path, config_path):
         samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)

@@ -274,6 +274,33 @@ class TestCrossBlock:
         assert B * T * d * n_prev * n1 * 8 == 8 * chunk
         assert kept - out.data.nbytes - inputs < 2 * chunk
 
+    def test_graph_after_backward_keeps_under_one_chunk_beyond_the_output(self):
+        B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=9)
+        chunk = 2 * 8 * T * d * n_prev * n1            # two samples of L per chunk
+        gc.collect()
+        with chunk_bytes(chunk):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = cross_block(*params)
+                loss = ad.tsum(out)
+                ad.backward(loss)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        # L spans 8 chunks; the transposed inputs are a chunk each, and the
+        # per-sample weights and scales half and a quarter of one
+        assert B // 2 == 8
+        assert kept - out.data.nbytes < chunk
+
+    def test_second_backward_through_the_graph_is_rejected(self):
+        params = block_inputs(2, 2, 3, 2, 2, 3, seed=8)
+        loss = ad.tsum(cross_block(*params))
+        ad.backward(loss)
+        with pytest.raises(ValueError, match="cross_block's backward already ran"):
+            ad.backward(loss)
+
     def test_shape_mismatch_rejected(self):
         X1, Xprev, a, w = block_inputs(1, 2, 3, 2, 2, 2, seed=0)
         with pytest.raises(ad.ShapeError):

@@ -84,7 +84,8 @@ class TestLoadCsv:
             load_csv(path, SchemaConfig(fields=["f1"], time_span=1))
 
     @pytest.mark.parametrize("cell, message", [("x:oops", "bad weight 'oops'"),
-                                               ("x:1;y:inf", "non-finite weight 'inf'")])
+                                               ("x:1;y:inf", "non-finite weight 'inf'"),
+                                               ("x:2;y:-1", "negative weight '-1'")])
     def test_bad_multi_valued_weight_names_line(self, tmp_path, cell, message):
         cfg = SchemaConfig(fields=["biz"], categorical={"biz"},
                            multi_valued={"biz"}, time_span=1)
@@ -92,6 +93,18 @@ class TestLoadCsv:
                      "entity_id,period_index,biz,label\n" "a,0,x:1,1\n" f"b,0,{cell},0\n")
         with pytest.raises(DataError, match=rf"d\.csv:3: field 'biz': {message}"):
             load_csv(path, cfg)
+
+    @pytest.mark.parametrize("rows, line, first", [
+        # a later row for a period would silently win
+        ("a,0,1.0,1,\n" "a,1,1,1,\n" "a,2,1,1,1\n" "a,0,5.0,1,\n", 5, 2),
+        # a repeated final period would drop the entity as if it had a gap
+        ("a,0,1,1,\n" "a,1,1,1,\n" "a,2,1,1,1\n" "b,0,1,1,\n" "a,2,1,1,1\n", 6, 4),
+    ], ids=["later_row", "final_period"])
+    def test_repeated_period_names_both_lines(self, tmp_path, basic_config, rows, line, first):
+        path = write(tmp_path / "d.csv", "entity_id,period_index,f1,f2,label\n" + rows)
+        with pytest.raises(DataError, match=rf"d\.csv:{line}: entity 'a' repeats period "
+                                            rf"\d of line {first}$"):
+            load_csv(path, basic_config)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
     def test_infinite_numeric_cell_names_line(self, tmp_path, basic_config, cell):
@@ -123,6 +136,13 @@ class TestLoadCsv:
                      "a,0,x:2;y:2,1\n")
         (sample,) = load_csv(path, cfg)
         assert sample.steps[0]["biz"] == {"x": 0.5, "y": 0.5}
+
+    def test_multi_valued_zero_weight_allowed(self, tmp_path):
+        cfg = SchemaConfig(fields=["biz"], categorical={"biz"},
+                           multi_valued={"biz"}, time_span=1)
+        path = write(tmp_path / "d.csv", "entity_id,period_index,biz,label\n" "a,0,x:2;y:0,1\n")
+        (sample,) = load_csv(path, cfg)
+        assert sample.steps[0]["biz"] == {"x": 1.0, "y": 0.0}
 
 
 _ID_CHARS = st.characters(codec="utf-8", exclude_characters="\0\r\n")

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from crossnet.crossing import CrossingBlock, make_blocks
 from crossnet.data import FeatureField
 from crossnet.explain import (IndividualExplanation, backtrack_patterns,
-                              channel_multisets, channel_pattern_names,
-                              emit_reports, extract_nonzero, heatmap_svg,
-                              individual_explanation)
+                              channel_pattern_names, emit_reports, extract_nonzero,
+                              heatmap_svg, individual_explanation)
 
 
 def schema_of(n):
@@ -266,14 +265,6 @@ class TestChannelPatternNames:
         names = channel_pattern_names([block_with(W, 2)], schema_of(2), 1e-4)
         assert names[2] == "rank2_ch0"
 
-    def test_shared_multisets_give_the_same_reports(self):
-        blocks = make_blocks(3, (4, 2), T=2, rng=np.random.default_rng(5))
-        per_rank = channel_multisets(blocks, 3, 1e-4)
-        assert (channel_pattern_names(blocks, schema_of(3), 1e-4, per_rank)
-                == channel_pattern_names(blocks, schema_of(3), 1e-4))
-        assert (backtrack_patterns(blocks, schema_of(3), 1e-4, per_rank=per_rank)
-                == backtrack_patterns(blocks, schema_of(3), 1e-4))
-
 
 class TestEmitReports:
     def test_empty_patterns_header_only(self, tmp_path):
@@ -296,6 +287,12 @@ class TestEmitReports:
         rows = list(csv.reader(open(tmp_path / "explain_acme.csv")))
         assert rows[0] == ["time", "channel", "pattern", "score"]
         assert len(rows) == 3
+
+    def test_no_patterns_file_without_patterns(self, tmp_path):
+        expl, E = individual_explanation([0.5, 0.5], [1.0], [1.0], 0, 2)
+        written = emit_reports(None, {"acme": (expl, E)}, tmp_path)
+        assert written == [tmp_path / "explain_acme.csv", tmp_path / "heatmap_acme.svg"]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
 
     @pytest.mark.parametrize("bad", ["a/b", "..", ".", "", "a\\b", "x/../../escaped"])
     def test_entity_id_must_be_a_plain_file_name(self, tmp_path, bad):
