@@ -12,17 +12,17 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import baselines, explain
-from .data import (DataError, SchemaConfig, build_schema, load_csv, normalize,
-                   split)
+from .data import (DataError, SchemaConfig, build_schema, gen_synthetic_interaction,
+                   load_csv, normalize, split, synthetic_schema_config)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
-                    evaluate, load_checkpoint, save_checkpoint, train)
+                    evaluate, load_checkpoint, objective, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +33,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Data and split settings, and the ``TrainConfig`` of the model."""
     fields: list = field(default_factory=list)
     categorical: list = field(default_factory=list)
     multi_valued: list = field(default_factory=list)
@@ -40,41 +41,33 @@ class RunConfig:
     label_column: str = "label"
     zscore_fields: list = field(default_factory=list)
     ratio: float = 0.7
-    T: int = 5
-    d: int = 8
-    rank_widths: list = field(default_factory=lambda: [8, 4])
-    s: int = 3
-    h: int = 32
-    k: int = 2
-    q: float = 0.5
-    lam: float = 1e-3
-    lr: float = 0.001
-    epochs: int = 20
-    batch_size: int = 32
-    seed: int = 0
-    epsilon: float = 1e-4
-    K: int = 10
+    train: TrainConfig = field(default_factory=TrainConfig)
 
-    def train_config(self):
-        return TrainConfig(T=self.T, d=self.d, rank_widths=tuple(self.rank_widths),
-                           s=self.s, h=self.h, k=self.k, q=self.q, lam=self.lam,
-                           lr=self.lr, epochs=self.epochs, batch_size=self.batch_size,
-                           seed=self.seed, epsilon=self.epsilon, top_k=self.K)
+    def __post_init__(self):
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
 
     def schema_config(self):
         return SchemaConfig(fields=list(self.fields),
                             categorical=set(self.categorical),
                             multi_valued=set(self.multi_valued),
-                            time_span=self.T)
+                            time_span=self.train.T)
 
 
-_LIST_KEYS = {"fields", "categorical", "multi_valued", "zscore_fields", "rank_widths"}
+# config-file spellings of TrainConfig fields
+_ALIASES = {"lambda": "lam", "K": "top_k"}
 
 
 def parse_config(path):
-    """Parse the flat key=value config file, rejecting unknown or bad keys."""
-    known = {f.name: f.type for f in dc_fields(RunConfig)}
-    kwargs = {}
+    """Parse the flat key=value config file, rejecting unknown, repeated or bad keys.
+
+    The keys are RunConfig's and TrainConfig's fields; each value takes the
+    type of its field's default, with lists and tuples comma-separated.
+    """
+    defaults = asdict(RunConfig())
+    train_defaults = defaults.pop("train")
+    defaults.update(train_defaults)
+    kwargs, lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -82,38 +75,33 @@ def parse_config(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "lambda":
-            key = "lam"
-        if key not in known:
+        key, value = _ALIASES.get(key.strip(), key.strip()), value.strip()
+        if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
+        kind = type(defaults[key])
         try:
-            if key in _LIST_KEYS:
+            if kind in (list, tuple):
                 items = [v.strip() for v in value.split(",") if v.strip()]
-                kwargs[key] = [int(v) for v in items] if key == "rank_widths" else items
-            elif key in ("T", "d", "s", "h", "k", "epochs", "batch_size", "seed", "K"):
-                kwargs[key] = int(value)
-            elif key in ("q", "lam", "lr", "ratio", "epsilon"):
-                kwargs[key] = float(value)
+                kwargs[key] = tuple(int(v) for v in items) if kind is tuple else items
             else:
-                kwargs[key] = value
+                kwargs[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = RunConfig(**kwargs)
+    train = {k: kwargs.pop(k) for k in list(kwargs) if k in train_defaults}
     try:
-        cfg.train_config()
+        return RunConfig(train=TrainConfig(**train), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not 0.0 < cfg.ratio < 1.0:
-        raise ConfigError(f"{path}: ratio must be in (0,1), got {cfg.ratio}")
-    return cfg
 
 
 def _load_split(data_path, cfg):
     samples = load_csv(data_path, cfg.schema_config())
     if len(samples) < 2:
         raise DataError(f"{data_path}: need at least 2 usable entities, got {len(samples)}")
-    return split(samples, cfg.ratio, cfg.seed)
+    return split(samples, cfg.ratio, cfg.train.seed)
 
 
 def _normalize_all(samples, schema):
@@ -189,7 +177,7 @@ def cmd_train(args, cfg):
     schema = build_schema(ds.train, cfg.schema_config())
     train_norm = _normalize_all(ds.train, schema)
     try:
-        model, trace = train(train_norm, schema, cfg.train_config(), log_every=1)
+        model, trace = train(train_norm, schema, cfg.train, log_every=1)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
@@ -265,7 +253,7 @@ def cmd_baseline(args, cfg):
         Xte = baselines.flatten_samples(_normalize_all(ds.test, schema), schema)
         ytr = np.array([s.label for s in ds.train])
         yte = np.array([s.label for s in ds.test])
-        lrm = baselines.lr_train(Xtr, ytr, l1=cfg.lam, seed=cfg.seed)
+        lrm = baselines.lr_train(Xtr, ytr, l1=cfg.train.lam, seed=cfg.train.seed)
         scores = baselines.lr_predict(Xte, lrm)
         report = confusion_report((scores > 0.5).astype(int), yte, scores)
     print(report.as_table())
@@ -274,18 +262,15 @@ def cmd_baseline(args, cfg):
 
 def cmd_gradcheck(args, cfg):
     """End-to-end gradient check on a small random model and batch."""
-    from .data import gen_synthetic_interaction
-    tc = cfg.train_config()
-    n_fields = max(len(cfg.fields), 1) if cfg.fields else 3
-    samples = gen_synthetic_interaction(4, tc.T, max(n_fields - 2, 0), seed=cfg.seed)
-    sc = SchemaConfig(fields=list(samples[0].steps[0].keys()), time_span=tc.T)
-    schema = build_schema(samples, sc)
+    tc = cfg.train
+    noise_fields = max(len(cfg.fields) - 2, 0) if cfg.fields else 1
+    samples = gen_synthetic_interaction(4, tc.T, noise_fields, seed=tc.seed)
+    schema = build_schema(samples, synthetic_schema_config(noise_fields, tc.T))
     norm = _normalize_all(samples, schema)
     model = Model(schema, tc)
-    from .model import objective as _objective
 
     def f():
-        loss, _ = _objective(norm, model, tc)
+        loss, _ = objective(norm, model, tc)
         return loss
 
     report = ad.grad_check(f, model.params(), step=1e-4, tol=args.tol)
@@ -293,23 +278,33 @@ def cmd_gradcheck(args, cfg):
     return 0 if report["ok"] else 1
 
 
+def _sweep_run(cfg, axis, value):
+    if axis == "timespan":
+        return replace(cfg, train=replace(cfg.train, T=value))
+    if value < 1:
+        raise ValueError(f"rank must be >= 1, got {value}")
+    # rank l means l-1 crossing blocks; reuse the leading widths
+    widths = list(cfg.train.rank_widths)[:value - 1]
+    while len(widths) < value - 1:
+        widths.append(widths[-1] if widths else 8)
+    return replace(cfg, train=replace(cfg.train, rank_widths=widths))
+
+
 def cmd_sweep(args, cfg):
-    """Retrain per axis value and emit (value, acc, auc) rows."""
-    values = [int(v) for v in args.values.split(",")]
+    """Retrain per axis value and emit (value, acc, auc) rows.
+
+    Every run's config is built, and so checked, before the first one trains.
+    """
+    try:
+        values = [int(v) for v in args.values.split(",")]
+        runs = [_sweep_run(cfg, args.axis, v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"--values {args.values!r}: {exc}") from exc
     rows = []
-    for v in values:
-        run = RunConfig(**{**cfg.__dict__})
-        if args.axis == "rank":
-            # rank l means l-1 crossing blocks; reuse the leading widths
-            widths = list(cfg.rank_widths)[:max(v - 1, 0)]
-            while len(widths) < v - 1:
-                widths.append(widths[-1] if widths else 8)
-            run.rank_widths = widths
-        else:
-            run.T = v
+    for v, run in zip(values, runs):
         ds = _load_split(args.data, run)
         schema = build_schema(ds.train, run.schema_config())
-        model, _ = train(_normalize_all(ds.train, schema), schema, run.train_config())
+        model, _ = train(_normalize_all(ds.train, schema), schema, run.train)
         report = evaluate(model, _Normalized(ds.test, schema))
         rows.append((v, report.acc, report.auc))
         print(f"{args.axis}={v}: acc={report.acc:.4f} auc={report.auc:.4f}")

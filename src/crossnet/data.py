@@ -43,6 +43,18 @@ class FeatureField:
     std: float = 1.0
     multi_valued: bool = False
 
+    def __post_init__(self):
+        """Reject a field that normalize and the embedding could not use."""
+        if not isinstance(self.name, str) or self.kind not in ("categorical", "numerical"):
+            raise ValueError(f"bad field name or kind: {self.name!r}, {self.kind!r}")
+        if self.kind == "categorical" and not (isinstance(self.vocab, list) and self.vocab):
+            raise ValueError(f"categorical field {self.name!r} needs a non-empty vocab list")
+        finite = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                     and math.isfinite(x) for x in (self.mean, self.std))
+        if not finite or self.std <= 0 or not isinstance(self.multi_valued, bool):
+            raise ValueError(f"field {self.name!r} needs a finite mean, a finite std > 0 "
+                             f"and a bool multi_valued")
+
     @property
     def oov_index(self):
         return len(self.vocab)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import operator
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,19 +54,47 @@ class TrainConfig:
     top_k: int = 10
 
     def __post_init__(self):
+        """Check every field; a bad value raises ValueError naming it.
+
+        Int fields take ints (numpy ints too, not bool). Float fields take
+        finite floats or ints, kept as given so checkpoint bytes do not move.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{f.name} must be a list of ints, got {value!r}")
+                value = tuple(_as_int(f.name, v) for v in value)
+            elif isinstance(f.default, int):
+                value = _as_int(f.name, value)
+            elif not isinstance(value, float):
+                value = _as_int(f.name, value, "a number")
+            elif not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            setattr(self, f.name, value)
+        for name, low in dict(T=1, d=1, h=1, k=2, lam=0, lr=0, epochs=1, batch_size=1,
+                              seed=0, top_k=1).items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(w < 1 for w in self.rank_widths):
+            raise ValueError(f"rank_widths entries must be >= 1, got {self.rank_widths}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.s % 2 == 0 or self.s < 1:
             raise ValueError(f"s must be odd and positive, got {self.s}")
         if self.s > self.T:
             raise ValueError(f"s must be at most T={self.T}, got {self.s}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        self.rank_widths = tuple(int(w) for w in self.rank_widths)
+
+
+def _as_int(name, value, kind="an int"):
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class GruParams:
@@ -355,6 +385,14 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _from_json(cls, obj):
+    """``cls(**obj)`` for a JSON object holding exactly ``cls``'s fields."""
+    keys = sorted(f.name for f in fields(cls))
+    if not isinstance(obj, dict) or sorted(obj) != keys:
+        raise ValueError(f"a {cls.__name__} needs exactly the keys {keys}, got {obj!r:.200}")
+    return cls(**obj)
+
+
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint written by save_checkpoint.
 
@@ -380,9 +418,15 @@ def load_checkpoint(path):
         def read_blob(what):
             return read(read_u32(f"the length of {what}"), what)
 
-        schema = [FeatureField(**f) for f in json.loads(read_blob("the schema"))]
-        cfg_dict = json.loads(read_blob("the config"))
-        config = TrainConfig(**cfg_dict)
+        schema_blob, config_blob = read_blob("the schema"), read_blob("the config")
+        try:
+            schema = json.loads(schema_blob)
+            if not isinstance(schema, list) or not schema:
+                raise ValueError(f"the schema must be a non-empty list, got {schema!r:.60}")
+            schema = [_from_json(FeatureField, f) for f in schema]
+            config = _from_json(TrainConfig, json.loads(config_blob))
+        except ValueError as exc:
+            raise ValueError(f"{path} has a malformed header: {exc}") from exc
         model = Model(schema, config)
         named = model.named_params()
         loaded = set()

@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import re
+import struct
 
 import pytest
 
@@ -6,6 +9,7 @@ from crossnet import cli, explain, model
 from crossnet.cli import ConfigError, main, parse_config
 from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
                            synthetic_schema_config, write_csv)
+from crossnet.model import TrainConfig
 
 SMALL_CONFIG = """
 # small synthetic run
@@ -22,6 +26,22 @@ lr = 0.01
 seed = 3
 ratio = 0.75
 """
+
+
+def with_line(line):
+    """SMALL_CONFIG with ``line`` in place of the line setting the same key."""
+    key = line.partition("=")[0].strip()
+    text, n = re.subn(rf"^{key} = .*$", line, SMALL_CONFIG, flags=re.M)
+    return text if n else text + line + "\n"
+
+
+def changed_value(default):
+    """A valid value other than a TrainConfig field's default, and its spelling."""
+    if isinstance(default, tuple):
+        value = default + default[-1:]
+        return value, ", ".join(map(str, value))
+    value = default * 2 if isinstance(default, float) else default + 2
+    return value, str(value)
 
 
 @pytest.fixture
@@ -43,9 +63,59 @@ class TestParseConfig:
     def test_round_trip_values(self, config_path):
         cfg = parse_config(config_path)
         assert cfg.fields == ["x1", "x2", "noise0"]
-        assert cfg.rank_widths == [3]
-        assert cfg.lam == 0.001
-        assert cfg.T == 2 and cfg.seed == 3
+        assert cfg.train.rank_widths == (3,)
+        assert cfg.train.lam == 0.001
+        assert cfg.train.T == 2 and cfg.train.seed == 3
+
+    @pytest.mark.parametrize("f", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+    def test_every_train_field_is_a_key(self, tmp_path, f):
+        value, text = changed_value(f.default)
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{f.name} = {text}\n")
+        train = parse_config(p).train
+        assert getattr(train, f.name) == value
+        assert train == dataclasses.replace(TrainConfig(), **{f.name: value})
+
+    @pytest.mark.parametrize("line, name, value", [("lambda = 0.25", "lam", 0.25),
+                                                   ("K = 3", "top_k", 3)])
+    def test_aliases(self, tmp_path, line, name, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        assert getattr(parse_config(p).train, name) == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("T = 2\nT = 7\n", ":2: 'T' is already set on line 1"),
+        ("lambda = 0.5\n# comment\nlam = 0.1\n", ":3: 'lam' is already set on line 1"),
+        ("K = 4\ntop_k = 4\n", ":2: 'top_k' is already set on line 1"),
+        ("fields = a\nfields = b\n", ":2: 'fields' is already set on line 1"),
+    ])
+    def test_key_given_twice(self, tmp_path, text, message):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(p)
+
+    @pytest.mark.parametrize("line, name", [
+        ("batch_size = 0", "batch_size"), ("batch_size = -3", "batch_size"),
+        ("epochs = -1", "epochs"), ("d = 0", "d"), ("h = 0", "h"),
+        ("rank_widths = 0", "rank_widths"), ("rank_widths = 3, -2", "rank_widths"),
+        ("epsilon = 0", "epsilon"), ("epsilon = -1", "epsilon"),
+        ("K = 0", "top_k"), ("K = -5", "top_k"), ("seed = -1", "seed"),
+        ("lr = nan", "lr"), ("lambda = inf", "lam"), ("q = nan", "q"),
+        ("ratio = nan", "ratio"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, data_path, capsys,
+                                                  line, name):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_line(line))
+        with pytest.raises(ConfigError, match=f": {name} "):
+            parse_config(p)
+        rc = main(["train", "--data", str(data_path), "--config", str(p),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f": {name} " in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -145,6 +215,23 @@ class TestTrainEval:
         trace = list(csv.reader(open(tmp_path / "m.trace.csv")))
         assert trace[0] == ["epoch", "mean_loss", "train_acc"]
         assert len(trace) == 3   # header + 2 epochs
+
+    def test_checkpoint_config_header(self, tmp_path, data_path):
+        # config-file values become the checkpoint's config JSON, byte for byte
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fields = x1, x2, noise0\nT = 2\nd = 4\nrank_widths = 3, 2\n"
+                       "s = 1\nh = 5\nepochs = 1\nq = 1\nlambda = 0\nlr = 1\nK = 6\n"
+                       "epsilon = 1e-3\n")
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        blob = out.read_bytes()
+        at = 9 + struct.unpack_from("<I", blob, 5)[0]
+        (n,) = struct.unpack_from("<I", blob, at)
+        assert blob[at + 4:at + 4 + n] == (
+            b'{"T": 2, "batch_size": 32, "d": 4, "epochs": 1, "epsilon": 0.001, "h": 5, '
+            b'"k": 2, "lam": 0.0, "lr": 1.0, "q": 1.0, "rank_widths": [3, 2], "s": 1, '
+            b'"seed": 0, "top_k": 6}')
 
     def test_repeat_run_bit_identical(self, tmp_path, config_path, data_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -264,7 +351,7 @@ class TestScoringHoldsOneBatch:
         ds = cli._load_split(data, cfg)
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(ds.train, cfg.schema_config())
-        model.save_checkpoint(model.Model(schema, cfg.train_config()), ckpt)
+        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
         return data, ckpt, ds
 
     @pytest.fixture
@@ -386,3 +473,37 @@ class TestSweepCommand:
         assert rc == 0
         rows = list(csv.reader(open(out)))
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("axis, values", [
+        ("rank", "1,x"), ("rank", "2,0"), ("rank", "2,"),
+        ("timespan", "2,0"), ("timespan", "2.5"),
+    ])
+    def test_bad_value_exits_two_before_training(self, tmp_path, config_path, data_path,
+                                                  monkeypatch, capsys, axis, values):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained a run")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--data", str(data_path), "--config", str(config_path),
+                   "--axis", axis, "--values", values, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+
+class TestMalformedCheckpoint:
+    def test_eval_exits_one_with_a_message(self, tmp_path, config_path, data_path, capsys):
+        cfg = parse_config(config_path)
+        samples = cli._load_split(data_path, cfg).train
+        ckpt = tmp_path / "m.ckpt"
+        schema = build_schema(samples, cfg.schema_config())
+        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob.replace(b'"d": 4', b'"d": 0'))
+        rc = main(["eval", "--data", str(data_path), "--model", str(ckpt),
+                   "--config", str(config_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt} has a malformed header: d must be >= 1" in err
+        assert "Traceback" not in err

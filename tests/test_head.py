@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -365,3 +367,84 @@ class TestCheckpoint:
         path.write_bytes(blob[:keep])
         with pytest.raises(ValueError, match="is truncated"):
             load_checkpoint(path)
+
+    def rewrite_header(self, path, schema=None, config=None):
+        """Replace the schema or config JSON of a checkpoint, keeping the rest."""
+        blob = path.read_bytes()
+        at, parts = 5, []
+        for _ in range(2):
+            (n,) = struct.unpack_from("<I", blob, at)
+            parts.append(json.loads(blob[at + 4:at + 4 + n]))
+            at += 4 + n
+        header = b""
+        for obj, edit in zip(parts, (schema, config)):
+            text = json.dumps(edit(obj) if edit else obj).encode()
+            header += struct.pack("<I", len(text)) + text
+        path.write_bytes(blob[:5] + header + blob[at:])
+
+    @pytest.mark.parametrize("schema, config", [
+        (None, lambda c: {**c, "extra": 1}),
+        (None, lambda c: list(c.values())),
+        (None, lambda c: {**c, "d": "4"}),
+        (None, lambda c: {k: v for k, v in c.items() if k != "d"}),
+        (None, lambda c: {**c, "rank_widths": 3}),
+        (None, lambda c: {**c, "top_k": 0}),
+        (None, lambda c: {**c, "lr": True}),
+        (lambda s: [{**s[0], "extra": 1}] + s[1:], None),
+        (lambda s: {}, None),
+        (lambda s: [], None),
+        (lambda s: s[0], None),
+        (lambda s: [{**s[0], "kind": "ordinal"}] + s[1:], None),
+        (lambda s: [{**s[0], "mean": "0"}] + s[1:], None),
+        (lambda s: [{**s[0], "std": 0}] + s[1:], None),
+        (lambda s: [{**s[0], "kind": "categorical"}] + s[1:], None),
+    ], ids=["config-extra-key", "config-list", "config-str-int", "config-missing-key",
+            "config-int-widths", "config-top-k-0", "config-bool-lr", "schema-extra-key",
+            "schema-object", "schema-empty", "schema-field-not-in-list", "schema-bad-kind",
+            "schema-str-mean", "schema-zero-std", "schema-categorical-without-vocab"])
+    def test_malformed_header_rejected(self, tmp_path, schema, config):
+        _, path = self.saved(tmp_path)
+        self.rewrite_header(path, schema, config)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has a malformed header"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_json_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:9] + b"!" + blob[10:])
+        with pytest.raises(ValueError, match="malformed header"):
+            load_checkpoint(path)
+
+    def test_int_where_float_declared_round_trips(self, tmp_path):
+        _, schema = make_dataset(16)
+        config = small_config(q=1, lam=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Model(schema, config), path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        assert type(loaded.config.q) is int and type(loaded.config.lam) is int
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestTrainConfigChecks:
+    def test_numpy_ints_become_ints(self):
+        cfg = small_config(d=np.int64(4), rank_widths=[np.int32(3)], seed=np.uint8(2))
+        assert (cfg.d, cfg.rank_widths, cfg.seed) == (4, (3,), 2)
+        assert type(cfg.d) is int and type(cfg.rank_widths[0]) is int
+
+    def test_float_fields_keep_what_they_are_given(self):
+        assert type(small_config(lr=1).lr) is int
+        assert type(small_config(lr=np.float64(0.5)).lr) is np.float64
+
+    @pytest.mark.parametrize("kw", [
+        dict(d=True), dict(d=4.0), dict(d="4"), dict(rank_widths=3),
+        dict(rank_widths="3"), dict(rank_widths=(3, False)), dict(q=False),
+        dict(q="0.5"), dict(lam=float("nan")), dict(lr=float("inf")),
+        dict(epsilon=-1e-9), dict(seed=-1), dict(T=0, s=1), dict(top_k=0),
+    ], ids=str)
+    def test_rejected(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"^{name} "):
+            small_config(**kw)
