@@ -51,4 +51,4 @@ print(f"logistic regression test accuracy: {lr_acc:.3f} (chance is ~0.5)")
 cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                   lam=1e-3, lr=0.03, epochs=120, batch_size=8, seed=7)
 model, _ = train(train_set, schema, cfg)
-print(f"crossing network test accuracy:   {evaluate(model, test_set).acc:.3f}")
+print(f"crossing network test accuracy:   {evaluate(model, ds.test).acc:.3f}")

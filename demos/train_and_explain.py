@@ -37,7 +37,7 @@ cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                   lam=1e-3, lr=0.03, epochs=120, batch_size=8, seed=7)
 model, trace = train(train_set, schema, cfg)
 
-report = evaluate(model, test_set)
+report = evaluate(model, ds.test)   # raw samples: encoded batch by batch
 print(f"test accuracy {report.acc:.3f}, AUC {report.auc:.3f} "
       f"(final train loss {trace[-1][1]:.4f})")
 
@@ -45,7 +45,7 @@ print(f"test accuracy {report.acc:.3f}, AUC {report.auc:.3f} "
 # Static explanation: which feature combinations did the lasso keep?
 # ---------------------------------------------------------------------------
 
-r1 = explain.rank1_attention_weights(model, test_set)
+r1 = explain.rank1_attention_weights(model, ds.test)
 patterns = explain.backtrack_patterns(model.blocks, model.schema,
                                       cfg.epsilon, rank1_weights=r1)
 print("\nretained patterns (top 5 per rank):")

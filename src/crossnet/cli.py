@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, explain
-from .data import (DataError, SchemaConfig, build_schema, gen_synthetic_interaction,
+from .data import (DataError, SchemaConfig, build_schema, encode, gen_synthetic_interaction,
                    load_csv, normalize, split, synthetic_schema_config)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
@@ -108,27 +108,6 @@ def _normalize_all(samples, schema):
     return [normalize(s, schema) for s in samples]
 
 
-class _Normalized:
-    """``samples`` normalized when a slice of them is taken.
-
-    ``evaluate`` and ``rank1_attention_weights`` take their batches as
-    slices, so a scoring command holds one batch of normalized samples at a
-    time instead of a normalized copy of the whole split.
-    """
-
-    def __init__(self, samples, schema):
-        self.samples = samples
-        self.schema = schema
-
-    def __len__(self):
-        return len(self.samples)
-
-    def __getitem__(self, index):
-        if not isinstance(index, slice):
-            raise TypeError("take samples as a slice")
-        return [normalize(s, self.schema) for s in self.samples[index]]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -195,8 +174,7 @@ def cmd_train(args, cfg):
 def cmd_eval(args, cfg):
     model = load_checkpoint(args.model)
     ds = _load_split(args.data, cfg)
-    report = evaluate(model, _Normalized(ds.train + ds.test if args.all else ds.test,
-                                         model.schema))
+    report = evaluate(model, ds.train + ds.test if args.all else ds.test)
     print(report.as_table())
     print("tp,fp,fn,tn,acc,err1,err2,auc")
     print(f"{report.tp},{report.fp},{report.fn},{report.tn},"
@@ -211,7 +189,7 @@ def cmd_explain(args, cfg):
     out_dir = Path(args.out)
 
     if args.static:
-        r1 = explain.rank1_attention_weights(model, _Normalized(ds.test, model.schema))
+        r1 = explain.rank1_attention_weights(model, ds.test)
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
@@ -223,7 +201,7 @@ def cmd_explain(args, cfg):
         print(f"unknown entity id {args.entity!r}", file=sys.stderr)
         return 1
     with ad.no_grad():
-        fwd = model.forward([normalize(raw, model.schema)])
+        fwd = model.forward(encode([raw], model.schema))
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(fwd["y"].data[0].argmax())
     expl, E = explain.individual_explanation(
@@ -261,11 +239,17 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_gradcheck(args, cfg):
-    """End-to-end gradient check on a small random model and batch."""
-    tc = cfg.train
-    noise_fields = max(len(cfg.fields) - 2, 0) if cfg.fields else 1
-    samples = gen_synthetic_interaction(4, tc.T, noise_fields, seed=tc.seed)
-    schema = build_schema(samples, synthetic_schema_config(noise_fields, tc.T))
+    """End-to-end gradient check on a small random model and batch.
+
+    The check runs two forward passes per parameter entry, so the model is
+    kept small whatever the config's size: it has the synthetic set's three
+    fields, and d, h and every rank width are capped at 4, 5 and 3. T, s,
+    k, q, lambda and the number of crossing blocks are the config's.
+    """
+    tc = replace(cfg.train, d=min(cfg.train.d, 4), h=min(cfg.train.h, 5),
+                 rank_widths=[min(w, 3) for w in cfg.train.rank_widths])
+    samples = gen_synthetic_interaction(4, tc.T, 1, seed=tc.seed)
+    schema = build_schema(samples, synthetic_schema_config(1, tc.T))
     norm = _normalize_all(samples, schema)
     model = Model(schema, tc)
 
@@ -305,7 +289,7 @@ def cmd_sweep(args, cfg):
         ds = _load_split(args.data, run)
         schema = build_schema(ds.train, run.schema_config())
         model, _ = train(_normalize_all(ds.train, schema), schema, run.train)
-        report = evaluate(model, _Normalized(ds.test, schema))
+        report = evaluate(model, ds.test)
         rows.append((v, report.acc, report.auc))
         print(f"{args.axis}={v}: acc={report.acc:.4f} auc={report.auc:.4f}")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

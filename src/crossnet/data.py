@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,12 +61,21 @@ class FeatureField:
     def oov_index(self):
         return len(self.vocab)
 
+    @cached_property
+    def vocab_index(self):
+        """Category name -> vocab index; a repeated name keeps its first index."""
+        index = {}
+        for i, name in enumerate(self.vocab):
+            index.setdefault(name, i)
+        return index
+
 
 @dataclass
 class SequencedSample:
     entity_id: str
     steps: list[dict]   # per time step: field name -> raw or normalized value
     label: int
+    normalized: bool = False    # set by normalize
 
 
 @dataclass
@@ -75,9 +86,10 @@ class DatasetSplit:
 
 
 def _parse_multi(cell):
-    parts = [p for p in cell.split(";") if p.strip()]
     out = {}
-    for p in parts:
+    for p in cell.split(";"):
+        if not p.strip():
+            continue
         name, _, w = p.partition(":")
         try:
             weight = float(w)
@@ -87,11 +99,52 @@ def _parse_multi(cell):
             raise DataError(f"non-finite weight {w!r} in multi-valued cell {cell!r}")
         if weight < 0:
             raise DataError(f"negative weight {w!r} in multi-valued cell {cell!r}")
-        out[name.strip()] = out.get(name.strip(), 0.0) + weight
+        name = name.strip()
+        out[name] = out.get(name, 0.0) + weight
     total = sum(out.values())
     if total <= 0:
         raise DataError(f"multi-valued cell has no positive mass: {cell!r}")
     return {k: v / total for k, v in out.items()}
+
+
+def _checked_values(fields, row, path, lineno):
+    """One row's values, converted field by field; None for a row to skip
+    (warned), and DataError naming the line for a bad cell.
+
+    ``fields`` holds (name, column, kind) with kind 0 numerical,
+    1 categorical or 2 multi-valued.
+    """
+    values = {}
+    for name, col, kind in fields:
+        cell = row[col]
+        if kind == 2:
+            try:
+                values[name] = _parse_multi(cell)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: field {name!r}: {exc}") from None
+        elif kind == 1:
+            values[name] = cell
+        elif cell == "":
+            values[name] = math.nan   # imputed at normalize time
+        else:
+            try:
+                x = float(cell)
+            except ValueError:
+                log.warning("%s:%d: non-numeric value %r in field %r, row skipped",
+                            path, lineno, cell, name)
+                return None
+            if x - x and math.isinf(x):     # x - x is 0.0 unless x is inf or nan
+                raise DataError(f"{path}:{lineno}: infinite value {cell!r} in field {name!r}")
+            values[name] = x
+    return values
+
+
+def _items(keys):
+    """A function giving the tuple of a row's (or a step's) items at ``keys``."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda row: (row[key],)
+    return operator.itemgetter(*keys) if keys else lambda row: ()
 
 
 def load_csv(path, schema_config):
@@ -102,69 +155,74 @@ def load_csv(path, schema_config):
     skipped with a line-level warning. A short or long row, an infinite
     numeric cell, a bad multi-valued cell, a non-integer label or a second
     row for an (entity, period) pair raises DataError naming ``path:line``.
+    Each step's values are keyed in ``schema_config.fields`` order.
     """
     T = schema_config.time_span
     by_entity = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             log.warning("empty csv file: %s", path)
             return []
         required = ["entity_id", "period_index", "label"] + list(schema_config.fields)
         for col in required:
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise DataError(f"missing required column {col!r} in {path}")
-        width = len(reader.fieldnames)
-        last = reader.fieldnames[-1]    # a short row leaves the trailing cells None
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}   # a repeated name takes its last
+        entity_col, period_col, label_col = (
+            column[c] for c in ("entity_id", "period_index", "label"))
+        fields = [(name, column[name], 2 if name in schema_config.multi_valued else
+                   1 if name in schema_config.categorical else 0)
+                  for name in schema_config.fields]
+        # a row is converted numerical cells first, then the others, and
+        # its values put back in field order
+        numeric = [f for f in fields if f[2] == 0]
+        others = [f for f in fields if f[2] != 0]
+        numbers_of = _items([col for _, col, _ in numeric])
+        others_of = _items([col for _, col, _ in others])
+        multi = [kind == 2 for _, _, kind in others]
+        slots = numeric + others
+        in_field_order = _items([slots.index(f) for f in fields])
+        names = [name for name, _, _ in fields]
         for row in reader:
+            if not row:                 # a blank line
+                continue
             lineno = reader.line_num
-            if row[last] is None:
-                raise DataError(f"{path}:{lineno}: expected {width} "
-                                f"cells, got {sum(v is not None for v in row.values())}")
-            if None in row:             # a long row puts its extra cells under the key None
-                raise DataError(f"{path}:{lineno}: expected {width} "
-                                f"cells, got {width + len(row[None])}")
-            values = {}
+            if len(row) != width:
+                # count the cells as a dict of the header would: the last of
+                # a repeated name wins, and a short row leaves the rest unset
+                got = (len(row) if len(row) > width else
+                       len(set(header[:len(row)]) - set(header[len(row):])))
+                raise DataError(f"{path}:{lineno}: expected {width} cells, got {got}")
             try:
-                period = int(row["period_index"])
+                period = int(row[period_col])
             except ValueError:
                 log.warning("%s:%d: bad period_index %r, row skipped",
-                            path, lineno, row["period_index"])
+                            path, lineno, row[period_col])
                 continue
-            ok = True
-            for name in schema_config.fields:
-                cell = row[name]
-                if name in schema_config.multi_valued:
-                    try:
-                        values[name] = _parse_multi(cell)
-                    except DataError as exc:
-                        raise DataError(f"{path}:{lineno}: field {name!r}: {exc}") from None
-                elif name in schema_config.categorical:
-                    values[name] = cell
-                else:
-                    if cell == "":
-                        values[name] = math.nan   # imputed at normalize time
-                        continue
-                    try:
-                        x = float(cell)
-                    except ValueError:
-                        log.warning("%s:%d: non-numeric value %r in field %r, row skipped",
-                                    path, lineno, cell, name)
-                        ok = False
-                        break
-                    if x - x and math.isinf(x):     # x - x is 0.0 unless x is inf or nan
-                        raise DataError(
-                            f"{path}:{lineno}: infinite value {cell!r} in field {name!r}")
-                    values[name] = x
-            if not ok:
-                continue
-            label_cell = row["label"]
+            # a row that fails to convert or holds an infinity is converted
+            # again cell by cell, for its diagnostics
+            try:
+                vals = [float(c) if c else math.nan for c in numbers_of(row)]
+                ok = math.inf not in vals and -math.inf not in vals
+                vals += [_parse_multi(c) if m else c for m, c in zip(multi, others_of(row))]
+            except ValueError:
+                ok = False
+            if ok:
+                values = dict(zip(names, in_field_order(vals)))
+            else:
+                values = _checked_values(fields, row, path, lineno)
+                if values is None:
+                    continue
+            label_cell = row[label_col]
             try:
                 label = int(label_cell) if label_cell != "" else None
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: label {label_cell!r} is not an integer") from None
-            by_entity.setdefault(row["entity_id"], []).append((period, values, label, lineno))
+            by_entity.setdefault(row[entity_col], []).append((period, values, label, lineno))
 
     samples = []
     dropped = 0
@@ -259,6 +317,7 @@ def normalize(sample, schema):
     Unseen categories map to the reserved OOV index (appended vocab slot);
     missing numerical cells are imputed with the training mean.
     """
+    _check_raw([sample], "normalize")
     steps = []
     for step in sample.steps:
         out = {}
@@ -288,7 +347,99 @@ def normalize(sample, schema):
                 except ValueError:
                     out[f.name] = f.oov_index
         steps.append(out)
-    return SequencedSample(sample.entity_id, steps, sample.label)
+    return SequencedSample(sample.entity_id, steps, sample.label, normalized=True)
+
+
+def _check_raw(samples, what):
+    for s in samples:
+        if s.normalized:
+            raise ValueError(f"{what} takes raw samples; {s.entity_id!r} is normalized")
+
+
+@dataclass
+class EncodedBatch:
+    """The embedding's input arrays for a batch of B samples of T steps.
+
+    ``numeric`` is [n_num, B, T]: one standardized [B, T] array per
+    numerical field, in schema order. ``categorical`` maps each categorical
+    field to its [B, T] vocab indices, or a multi-valued one to its
+    [B, T, V + 1] weights (the OOV column stays 0).
+    """
+    numeric: np.ndarray
+    categorical: dict
+
+    def __len__(self):
+        return self.numeric.shape[1]
+
+
+def _columns(samples, schema):
+    """B, T, the [B*T, n_num] numerical values, and (field, its B*T cells) per
+    categorical field; cells are taken step by step in sample order."""
+    B, T = len(samples), len(samples[0].steps)
+    steps = [step for s in samples for step in s.steps]
+    if len(steps) != B * T:
+        raise ValueError(f"every sample in a batch needs {T} steps")
+    row = _items([f.name for f in schema if f.kind == "numerical"])
+    values = np.array([row(step) for step in steps], dtype=np.float64)
+    return B, T, values, [(f, [step[f.name] for step in steps])
+                          for f in schema if f.kind == "categorical"]
+
+
+def _batch(values, categorical, B, T):
+    """EncodedBatch from [B*T, n_num] values and [B*T, ...] categorical arrays."""
+    numeric = np.ascontiguousarray(values.T).reshape(-1, B, T)
+    return EncodedBatch(numeric, {name: a.reshape((B, T) + a.shape[1:])
+                                  for name, a in categorical.items()})
+
+
+def encode(samples, schema):
+    """The embedding's input arrays for a batch of *raw* samples, in one pass.
+
+    Equal, bit for bit, to ``gather`` of the ``normalize``d samples: numerical
+    values are standardized with missing ones at 0, categories take their
+    vocab index (unseen ones the OOV index), and multi-valued weights are
+    renormalized over the known categories.
+    """
+    _check_raw(samples, "encode")
+    B, T, raw, columns = _columns(samples, schema)
+    numeric = [f for f in schema if f.kind == "numerical"]
+    values = ((raw - np.array([f.mean for f in numeric], dtype=np.float64))
+              / np.array([f.std for f in numeric], dtype=np.float64))
+    values[np.isnan(raw)] = 0.0     # mean imputation, then standardized
+    categorical = {}
+    for f, cells in columns:
+        index = f.vocab_index
+        if not f.multi_valued:
+            oov = f.oov_index
+            categorical[f.name] = np.array([index.get(v, oov) for v in cells], dtype=np.intp)
+            continue
+        at, weights, known = [], [], np.zeros(len(cells))
+        for i, cell in enumerate(cells):
+            for name, w in cell.items():
+                j = index.get(name)
+                if j is not None:
+                    at.append((i, j))
+                    weights.append(w)
+                    known[i] += w
+        probs = np.zeros((len(cells), len(f.vocab) + 1))
+        if at:
+            probs[tuple(np.array(at).T)] = weights
+        categorical[f.name] = np.divide(probs, known[:, None], out=probs,
+                                        where=known[:, None] > 0)
+    return _batch(values, categorical, B, T)
+
+
+def gather(samples, schema):
+    """The embedding's input arrays for a batch of normalized samples; no arithmetic."""
+    B, T, values, columns = _columns(samples, schema)
+    categorical = {}
+    for f, cells in columns:
+        if f.multi_valued:
+            categorical[f.name] = np.zeros((len(cells), len(f.vocab) + 1))
+            categorical[f.name][:, :-1] = cells
+        else:
+            categorical[f.name] = np.array(cells, dtype=np.intp)
+    return _batch(values, categorical, B, T)
 
 
 def split(samples, ratio, seed):

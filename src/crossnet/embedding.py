@@ -3,7 +3,9 @@
 Categorical fields get a lookup table with one extra OOV row; numerical
 fields get one trainable basis vector each and are embedded by scalar
 multiplication. The result for a sample is the first-rank feature tensor
-of shape [T, n1, d] (batched: [B, T, n1, d]).
+of shape [T, n1, d] (batched: [B, T, n1, d]). The input is the arrays of
+``data.EncodedBatch``, whether encoded from raw samples or gathered from
+normalized ones.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param, Tensor
+from .data import EncodedBatch, gather
 
 
 class EmbeddingLayer:
@@ -43,27 +46,25 @@ class EmbeddingLayer:
             out.append(self.basis)
         return out
 
-    def embed_batch(self, samples):
-        """Embed normalized samples into a [B, T, n1, d] tensor."""
-        B = len(samples)
-        T = len(samples[0].steps)
+    def embed_batch(self, batch):
+        """Embed a batch into a [B, T, n1, d] tensor.
+
+        ``batch`` is an EncodedBatch (``data.encode`` of raw samples) or a
+        list of normalized samples, which is gathered into one.
+        """
+        if not isinstance(batch, EncodedBatch):
+            batch = gather(batch, self.schema)
         per_field = []
         for f in self.schema:
             if f.kind == "categorical" and f.multi_valued:
-                probs = np.zeros((B, T, len(f.vocab) + 1))
-                for b, s in enumerate(samples):
-                    for t, step in enumerate(s.steps):
-                        probs[b, t, :len(f.vocab)] = step[f.name]
-                per_field.append(ad.matmul(Tensor(probs), self.tables[f.name]))
+                per_field.append(ad.matmul(Tensor(batch.categorical[f.name]),
+                                           self.tables[f.name]))
             elif f.kind == "categorical":
-                idx = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples],
-                               dtype=np.intp)
-                per_field.append(ad.gather_rows(self.tables[f.name], idx))
+                per_field.append(ad.gather_rows(self.tables[f.name],
+                                                batch.categorical[f.name]))
             else:
-                vals = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples])
-                row = ad.slice_axis(self.basis, 0, self.basis_rows[f.name],
-                                    self.basis_rows[f.name] + 1)
-                per_field.append(ad.mul(Tensor(vals[:, :, None]),
+                i = self.basis_rows[f.name]
+                row = ad.slice_axis(self.basis, 0, i, i + 1)
+                per_field.append(ad.mul(Tensor(batch.numeric[i][:, :, None]),
                                         ad.reshape(row, (self.d,))))
         return ad.stack(per_field, axis=2)
-

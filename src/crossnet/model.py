@@ -24,7 +24,7 @@ from .autodiff import Param, Tensor
 from .attention import (FeatureAttentionParams, TemporalAttentionParams,
                         feature_attention, temporal_attention)
 from .crossing import lasso_penalty, make_blocks, run_stack
-from .data import FeatureField
+from .data import FeatureField, encode
 from .embedding import EmbeddingLayer
 
 log = logging.getLogger(__name__)
@@ -208,13 +208,13 @@ class Model:
     def named_params(self):
         return {p.name: p for p in self.params()}
 
-    def forward(self, samples):
-        """Full forward pass on a batch of normalized samples.
+    def forward(self, batch):
+        """Full forward pass on a list of normalized samples or an EncodedBatch.
 
         Returns a dict with scores y [B,k], normalized r, attention vectors
         p [B,N] and q [B,T], and the rank stack.
         """
-        x1 = self.embedding.embed_batch(samples)
+        x1 = self.embedding.embed_batch(batch)
         stack = run_stack(x1, self.blocks)
         feat_out, p = feature_attention(stack.x_tilde, self.feat_att)
         temp_out, q = temporal_attention(feat_out, self.temp_att)
@@ -316,7 +316,8 @@ def auc(scores, labels):
 def evaluate(model, samples, batch_size=256):
     """Confusion counts, accuracy, type I/II errors and AUC on class-1 scores.
 
-    ``samples`` needs only ``len`` and slicing: each batch is sliced once.
+    ``samples`` are raw, as ``load_csv`` returns them, and need only ``len``
+    and slicing: each batch is sliced once and encoded when it is scored.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
@@ -326,7 +327,11 @@ def evaluate(model, samples, batch_size=256):
     with ad.no_grad():
         for start in range(0, len(samples), batch_size):
             batch = samples[start:start + batch_size]
-            y = model.forward(batch)["y"].data
+            for s in batch:
+                if not 0 <= s.label < model.config.k:
+                    raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
+                                     f"outside [0, {model.config.k})")
+            y = model.forward(encode(batch, model.schema))["y"].data
             preds.extend(y.argmax(axis=-1).tolist())
             pos_scores.extend(y[:, 1].tolist())
             labels.extend(s.label for s in batch)
@@ -334,19 +339,22 @@ def evaluate(model, samples, batch_size=256):
 
 
 def confusion_report(preds, labels, pos_scores=None):
+    """Accuracy over every sample; the counts, error rates and AUC take class 1
+    as positive and every other class as negative."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
-    tp = int(((preds == 1) & (labels == 1)).sum())
-    fp = int(((preds == 1) & (labels == 0)).sum())
-    fn = int(((preds == 0) & (labels == 1)).sum())
-    tn = int(((preds == 0) & (labels == 0)).sum())
-    total = tp + fp + fn + tn
-    acc = (tp + tn) / total if total else 0.0
+    pred_pos, label_pos = preds == 1, labels == 1
+    tp = int((pred_pos & label_pos).sum())
+    fp = int((pred_pos & ~label_pos).sum())
+    fn = int((~pred_pos & label_pos).sum())
+    tn = int((~pred_pos & ~label_pos).sum())
+    total = len(labels)
+    acc = int((preds == labels).sum()) / total if total else 0.0
     err1 = fp / (tn + fp) if (tn + fp) else 0.0
     err2 = fn / (fn + tp) if (fn + tp) else 0.0
     auc_val = 0.5
-    if pos_scores is not None and len(set(labels.tolist())) == 2:
-        auc_val = auc(pos_scores, labels)
+    if pos_scores is not None and 0 < tp + fn < total:
+        auc_val = auc(pos_scores, label_pos)
     return EvalReport(tp=tp, fp=fp, fn=fn, tn=tn, acc=acc, err1=err1,
                       err2=err2, auc=auc_val)
 

@@ -71,7 +71,7 @@ def test_criterion_02_planted_interaction(announce):
     cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                       lam=1e-3, lr=0.01, epochs=200, batch_size=8, seed=7)
     model, _ = train(_normalize_all(ds.train, schema), schema, cfg)
-    acc = evaluate(model, _normalize_all(ds.test, schema)).acc
+    acc = evaluate(model, ds.test).acc
 
     lr_accs = []
     for seed in range(5):
@@ -215,7 +215,7 @@ def test_criterion_10_public_stock_data(announce):
     cfg = TrainConfig(T=5, d=16, rank_widths=(8,), s=3, h=32, k=2, q=0.5,
                       lam=1e-3, lr=0.01, epochs=20, batch_size=32, seed=0)
     model, _ = train(_normalize_all(ds.train, schema), schema, cfg)
-    model_auc = evaluate(model, _normalize_all(ds.test, schema)).auc
+    model_auc = evaluate(model, ds.test).auc
 
     Xtr = flatten_samples(_normalize_all(ds.train, schema), schema)
     Xte = flatten_samples(_normalize_all(ds.test, schema), schema)

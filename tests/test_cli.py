@@ -3,11 +3,12 @@ import dataclasses
 import re
 import struct
 
+import numpy as np
 import pytest
 
 from crossnet import cli, explain, model
 from crossnet.cli import ConfigError, main, parse_config
-from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
+from crossnet.data import (build_schema, encode, gen_synthetic_interaction, normalize,
                            synthetic_schema_config, write_csv)
 from crossnet.model import TrainConfig
 
@@ -293,18 +294,18 @@ class TestExplainCommand:
         assert sorted(p.name for p in out_dir.iterdir()) == ["explain_s00000.csv",
                                                              "heatmap_s00000.svg"]
 
-    def test_entity_normalizes_only_that_sample(self, tmp_path, config_path, data_path,
-                                                trained, monkeypatch):
+    def test_entity_encodes_only_that_sample(self, tmp_path, config_path, data_path,
+                                             trained, monkeypatch):
         calls = []
 
-        def counting_normalize(sample, schema):
-            calls.append(sample.entity_id)
-            return normalize(sample, schema)
+        def counting_encode(samples, schema):
+            calls.extend(s.entity_id for s in samples)
+            return encode(samples, schema)
 
         def no_split_pass(*args, **kwargs):
             raise AssertionError("explain --entity scored the test split")
 
-        monkeypatch.setattr(cli, "normalize", counting_normalize)
+        monkeypatch.setattr(cli, "encode", counting_encode)
         monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
         ds = cli._load_split(data_path, parse_config(config_path))
         entity = ds.train[0].entity_id
@@ -339,7 +340,7 @@ class TestExplainCommand:
 
 
 class TestScoringHoldsOneBatch:
-    """eval and explain normalize each batch when they take it."""
+    """eval and explain encode each batch when they take it."""
 
     @pytest.fixture
     def portfolio(self, tmp_path, config_path):
@@ -356,30 +357,33 @@ class TestScoringHoldsOneBatch:
 
     @pytest.fixture
     def events(self, monkeypatch):
+        """("encode", n) for each batch of n samples encoded, and ("forward", n)
+        for each forward pass on n samples."""
         log = []
 
-        def counting_normalize(sample, schema):
-            log.append("normalize")
-            return normalize(sample, schema)
+        def counting_encode(samples, schema):
+            log.append(("encode", len(samples)))
+            return encode(samples, schema)
 
         forward = model.Model.forward
 
-        def logging_forward(self, samples):
-            log.append(len(samples))
-            return forward(self, samples)
+        def logging_forward(self, batch):
+            log.append(("forward", len(batch)))
+            return forward(self, batch)
 
-        monkeypatch.setattr(cli, "normalize", counting_normalize)
+        for module in (cli, model, explain):
+            monkeypatch.setattr(module, "encode", counting_encode, raising=False)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
         return log
 
     def assert_one_batch_at_a_time(self, log, n_samples):
         batches, pending = [], 0
-        for event in log:
-            if event == "normalize":
-                pending += 1
+        for event, n in log:
+            if event == "encode":
+                pending += n
             else:
-                assert pending == event <= 256
-                batches.append(event)
+                assert pending == n <= 256
+                batches.append(n)
                 pending = 0
         assert pending == 0 and sum(batches) == n_samples and len(batches) > 1
 
@@ -403,8 +407,11 @@ class TestScoringHoldsOneBatch:
         _, ckpt, ds = portfolio
         m = model.load_checkpoint(ckpt)
         samples = ds.train + ds.test
-        assert (model.evaluate(m, cli._Normalized(samples, m.schema))
-                == model.evaluate(m, [normalize(s, m.schema) for s in samples]))
+        norm = [normalize(s, m.schema) for s in samples]
+        y = np.concatenate([m.forward(norm[i:i + 256])["y"].data
+                            for i in range(0, len(norm), 256)])
+        assert model.evaluate(m, samples) == model.confusion_report(
+            y.argmax(axis=-1), [s.label for s in samples], y[:, 1])
 
     def test_entity_backtracks_the_patterns_once(self, tmp_path, config_path, portfolio,
                                                  monkeypatch):
@@ -454,6 +461,22 @@ class TestGradcheckCommand:
     def test_fails_at_impossible_tolerance(self, config_path):
         rc = main(["gradcheck", "--config", str(config_path), "--tol", "1e-300"])
         assert rc == 1
+
+    def test_checks_a_small_model_at_any_configured_size(self, tmp_path, monkeypatch):
+        fields = ", ".join(["x1", "x2"] + [f"noise{i}" for i in range(23)])
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"fields = {fields}\nT = 5\nd = 16\nrank_widths = 4, 3\n"
+                       "s = 3\nh = 12\nq = 0.7\nlambda = 0.002\n")
+        checked = []
+        grad_check = cli.ad.grad_check
+
+        def counting(f, params, **kwargs):
+            checked.append(sum(p.data.size for p in params))
+            return grad_check(f, params, **kwargs)
+
+        monkeypatch.setattr(cli.ad, "grad_check", counting)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        assert len(checked) == 1 and checked[0] <= 1000
 
 
 class TestSweepCommand:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossnet.data import (DataError, SchemaConfig, SequencedSample,
-                           build_schema, gen_synthetic_interaction, load_csv,
-                           normalize, split, synthetic_schema_config, write_csv)
+from crossnet.data import (DataError, FeatureField, SchemaConfig, SequencedSample,
+                           build_schema, encode, gather, gen_synthetic_interaction,
+                           load_csv, normalize, split, synthetic_schema_config, write_csv)
 
 
 @pytest.fixture
@@ -137,6 +137,14 @@ class TestLoadCsv:
         (sample,) = load_csv(path, cfg)
         assert sample.steps[0]["biz"] == {"x": 0.5, "y": 0.5}
 
+    def test_step_keys_follow_the_configured_fields(self, tmp_path):
+        cfg = SchemaConfig(fields=["f2", "c", "f1"], categorical={"c"}, time_span=1)
+        path = write(tmp_path / "d.csv",
+                     "label,f1,c,entity_id,f2,period_index\n" "1,0.5,u,a,,0\n")
+        (sample,) = load_csv(path, cfg)
+        assert list(sample.steps[0]) == ["f2", "c", "f1"]
+        assert sample.steps[0]["f1"] == 0.5 and math.isnan(sample.steps[0]["f2"])
+
     def test_multi_valued_zero_weight_allowed(self, tmp_path):
         cfg = SchemaConfig(fields=["biz"], categorical={"biz"},
                            multi_valued={"biz"}, time_span=1)
@@ -254,6 +262,11 @@ class TestNormalize:
         s = SequencedSample("z", [{"x": 0.0, "c": "zz"}], 0)
         assert normalize(s, schema).steps[0]["c"] == schema[1].oov_index == 2
 
+    def test_a_normalized_sample_is_rejected(self):
+        _, schema, train = self.make()
+        with pytest.raises(ValueError, match="raw samples"):
+            normalize(normalize(train[0], schema), schema)
+
     def test_train_split_standardized(self):
         rng = np.random.default_rng(0)
         cfg = SchemaConfig(fields=["x"], time_span=4)
@@ -264,6 +277,65 @@ class TestNormalize:
         vals = np.array([st["x"] for s in train for st in normalize(s, schema).steps])
         assert abs(vals.mean()) <= 1e-9
         assert abs(vals.std(ddof=1) - 1.0) <= 1e-9
+
+
+_VOCAB = st.lists(_NAMES, min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def _encoding_cases(draw):
+    """A schema of two numerical, a categorical and a multi-valued field, and a
+    batch of raw samples: missing numbers, unseen categories, and multi-valued
+    cells with unseen names or no known mass all occur."""
+    def stat():
+        return draw(st.floats(-100, 100))
+
+    cats, multi = draw(_VOCAB), draw(_VOCAB)
+    schema = [FeatureField("a", "numerical", mean=stat(), std=draw(st.floats(1e-3, 100))),
+              FeatureField("c", "categorical", vocab=cats),
+              FeatureField("b", "numerical", mean=stat(), std=draw(st.floats(1e-3, 100))),
+              FeatureField("m", "categorical", vocab=multi, multi_valued=True)]
+    number = st.floats(-1e6, 1e6) | st.just(math.nan)
+    name = st.sampled_from(cats) | _NAMES
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0, 10)
+    cell = st.dictionaries(st.sampled_from(multi) | _NAMES, weight, min_size=1, max_size=3)
+    B, T = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    samples = [SequencedSample(f"e{i}", [{"a": draw(number), "c": draw(name),
+                                          "b": draw(number), "m": draw(cell)}
+                                         for _ in range(T)], 0)
+               for i in range(B)]
+    return schema, samples
+
+
+class TestEncode:
+    """encode of raw samples is gather of their normalized copies, bit for bit."""
+
+    @staticmethod
+    def assert_same_arrays(got, want):
+        pairs = [(got.numeric, want.numeric)] + [
+            (got.categorical[k], want.categorical[k]) for k in want.categorical]
+        assert list(got.categorical) == list(want.categorical)
+        for g, w in pairs:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_encoding_cases())
+    def test_encode_is_gather_of_normalize(self, case):
+        schema, samples = case
+        self.assert_same_arrays(encode(samples, schema),
+                                gather([normalize(s, schema) for s in samples], schema))
+
+    def test_cells_that_normalize_specially(self):
+        schema = [FeatureField("x", "numerical", mean=1.0, std=2.0),
+                  FeatureField("m", "categorical", vocab=["p", "q"], multi_valued=True)]
+        steps = [{"x": math.nan, "m": {"zz": 1.0}}, {"x": 1.0, "m": {"p": 0.0, "zz": 2.0}},
+                 {"x": 5.0, "m": {"q": 3.0, "p": 1.0, "zz": 4.0}}]
+        got = encode([SequencedSample("e", steps, 0)], schema)
+        assert got.numeric.tolist() == [[[0.0, 0.0, 2.0]]]
+        assert got.categorical["m"].tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                                  [0.25, 0.75, 0.0]]]
+        self.assert_same_arrays(got, gather([normalize(SequencedSample("e", steps, 0),
+                                                       schema)], schema))
 
 
 class TestSplit:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crossnet import autodiff as ad
-from crossnet.data import FeatureField, SequencedSample
+from crossnet.autodiff import Tensor
+from crossnet.data import FeatureField, SequencedSample, encode, normalize
 from crossnet.embedding import EmbeddingLayer
 
 
@@ -132,3 +133,95 @@ class TestEmbedSample:
         ad.backward(ad.tsum(ad.power(out, 2.0)))
         assert np.abs(layer.tables["cat"].grad).sum() > 0
         assert np.abs(layer.basis.grad).sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# the array core against the per-field reference
+# ---------------------------------------------------------------------------
+
+def reference_embed_batch(layer, samples):
+    """The per-field embedding of normalized samples that the array core replaced:
+    each field's values are read back from the step dicts one field at a time."""
+    B = len(samples)
+    T = len(samples[0].steps)
+    per_field = []
+    for f in layer.schema:
+        if f.kind == "categorical" and f.multi_valued:
+            probs = np.zeros((B, T, len(f.vocab) + 1))
+            for b, s in enumerate(samples):
+                for t, step in enumerate(s.steps):
+                    probs[b, t, :len(f.vocab)] = step[f.name]
+            per_field.append(ad.matmul(Tensor(probs), layer.tables[f.name]))
+        elif f.kind == "categorical":
+            idx = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples],
+                           dtype=np.intp)
+            per_field.append(ad.gather_rows(layer.tables[f.name], idx))
+        else:
+            vals = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples])
+            row = ad.slice_axis(layer.basis, 0, layer.basis_rows[f.name],
+                                layer.basis_rows[f.name] + 1)
+            per_field.append(ad.mul(Tensor(vals[:, :, None]),
+                                    ad.reshape(row, (layer.d,))))
+    return ad.stack(per_field, axis=2)
+
+
+def graph_ops(root):
+    """The graph behind ``root`` in depth-first parent order: each node's op
+    (its backward rule's function), or its class and bytes for a leaf."""
+    out, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is None:
+            out.append((type(node).__name__, node.data.shape, node.data.tobytes()))
+        else:
+            out.append((node._backward.__qualname__.split(".")[0], node.data.shape))
+        stack.extend(reversed(node._parents))
+    return out
+
+
+def mixed_layer_and_raw(B=5, T=3, seed=0):
+    rng = np.random.default_rng(seed)
+    schema = [
+        FeatureField("n1", "numerical", mean=0.5, std=2.0),
+        FeatureField("sector", "categorical", vocab=["a", "b", "c"]),
+        FeatureField("n2", "numerical", mean=-1.0, std=0.3),
+        FeatureField("seg", "categorical", vocab=["p", "q"], multi_valued=True),
+    ]
+    samples = []
+    for i in range(B):
+        steps = [{"n1": float(rng.normal()) if (i + t) % 4 else float("nan"),
+                  "sector": ["a", "b", "c", "zz"][(i + t) % 4],
+                  "n2": float(rng.normal()),
+                  "seg": [{"p": 0.25, "q": 0.75}, {"q": 1.0}, {"zz": 1.0},
+                          {"p": 0.5, "zz": 0.5}][(i * t) % 4]}
+                 for t in range(T)]
+        samples.append(SequencedSample(f"e{i}", steps, i % 2))
+    return EmbeddingLayer(schema, d=4, rng=np.random.default_rng(seed + 1)), samples
+
+
+class TestArrayCore:
+    """embed_batch builds the reference's graph, node for node, from either front end."""
+
+    @pytest.mark.parametrize("B", [1, 5])
+    def test_same_bytes_and_graph_as_the_reference(self, B):
+        layer, raw = mixed_layer_and_raw(B)
+        norm = [normalize(s, layer.schema) for s in raw]
+        want = reference_embed_batch(layer, norm)
+        for got in (layer.embed_batch(norm), layer.embed_batch(encode(raw, layer.schema))):
+            assert got.data.tobytes() == want.data.tobytes()
+            assert graph_ops(got) == graph_ops(want)
+
+    def test_same_gradients_as_the_reference(self):
+        layer, raw = mixed_layer_and_raw()
+        norm = [normalize(s, layer.schema) for s in raw]
+        weights = Tensor(np.random.default_rng(9).normal(size=(5, 3, 4, 4)))
+        grads = []
+        for x1 in (reference_embed_batch(layer, norm),
+                   layer.embed_batch(encode(raw, layer.schema))):
+            ad.backward(ad.tsum(ad.mul(x1, weights)))
+            grads.append([p.grad.tobytes() for p in layer.params()])
+            ad.zero_grads(layer.params())
+        assert grads[0] == grads[1]

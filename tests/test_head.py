@@ -237,6 +237,32 @@ class TestMetrics:
         with pytest.raises(ValueError):
             evaluate(model, [])
 
+    def test_three_classes_count_every_sample(self):
+        report = confusion_report([0, 1, 2, 2, 1], [0, 1, 2, 2, 2])
+        assert report.acc == 0.8
+        # class 1 against the rest
+        assert (report.tp, report.fp, report.fn, report.tn) == (1, 1, 0, 3)
+        assert report.tp + report.fp + report.fn + report.tn == 5
+
+    def test_three_classes_auc_is_class_one_against_the_rest(self):
+        labels = [0, 1, 2, 1, 2, 0]
+        scores = [0.1, 0.9, 0.3, 0.4, 0.5, 0.2]
+        report = confusion_report([0, 1, 2, 0, 2, 0], labels, scores)
+        assert report.auc == auc(scores, [int(y == 1) for y in labels]) == 0.875
+
+    def test_evaluate_takes_raw_samples(self):
+        norm, schema = make_dataset(6)
+        with pytest.raises(ValueError, match="raw samples"):
+            evaluate(Model(schema, small_config()), norm)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_evaluate_rejects_a_label_outside_k(self, label):
+        samples = gen_synthetic_interaction(6, 2, 1, seed=0)
+        schema = build_schema(samples, synthetic_schema_config(1, 2))
+        samples[2].label = label
+        with pytest.raises(ValueError, match=f"has label {label}, outside"):
+            evaluate(Model(schema, small_config()), samples)
+
 
 class TestAuc:
     def test_perfect_ranking(self):
