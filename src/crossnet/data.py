@@ -139,14 +139,6 @@ def _checked_values(fields, row, path, lineno):
     return values
 
 
-def _items(keys):
-    """A function giving the tuple of a row's (or a step's) items at ``keys``."""
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda row: (row[key],)
-    return operator.itemgetter(*keys) if keys else lambda row: ()
-
-
 def load_csv(path, schema_config):
     """Read the long format, returning one SequencedSample per usable entity.
 
@@ -176,16 +168,6 @@ def load_csv(path, schema_config):
         fields = [(name, column[name], 2 if name in schema_config.multi_valued else
                    1 if name in schema_config.categorical else 0)
                   for name in schema_config.fields]
-        # a row is converted numerical cells first, then the others, and
-        # its values put back in field order
-        numeric = [f for f in fields if f[2] == 0]
-        others = [f for f in fields if f[2] != 0]
-        numbers_of = _items([col for _, col, _ in numeric])
-        others_of = _items([col for _, col, _ in others])
-        multi = [kind == 2 for _, _, kind in others]
-        slots = numeric + others
-        in_field_order = _items([slots.index(f) for f in fields])
-        names = [name for name, _, _ in fields]
         for row in reader:
             if not row:                 # a blank line
                 continue
@@ -202,20 +184,9 @@ def load_csv(path, schema_config):
                 log.warning("%s:%d: bad period_index %r, row skipped",
                             path, lineno, row[period_col])
                 continue
-            # a row that fails to convert or holds an infinity is converted
-            # again cell by cell, for its diagnostics
-            try:
-                vals = [float(c) if c else math.nan for c in numbers_of(row)]
-                ok = math.inf not in vals and -math.inf not in vals
-                vals += [_parse_multi(c) if m else c for m, c in zip(multi, others_of(row))]
-            except ValueError:
-                ok = False
-            if ok:
-                values = dict(zip(names, in_field_order(vals)))
-            else:
-                values = _checked_values(fields, row, path, lineno)
-                if values is None:
-                    continue
+            values = _checked_values(fields, row, path, lineno)
+            if values is None:
+                continue
             label_cell = row[label_col]
             try:
                 label = int(label_cell) if label_cell != "" else None
@@ -317,7 +288,7 @@ def normalize(sample, schema):
     Unseen categories map to the reserved OOV index (appended vocab slot);
     missing numerical cells are imputed with the training mean.
     """
-    _check_raw([sample], "normalize")
+    _check_state([sample], "normalize", normalized=False)
     steps = []
     for step in sample.steps:
         out = {}
@@ -350,10 +321,12 @@ def normalize(sample, schema):
     return SequencedSample(sample.entity_id, steps, sample.label, normalized=True)
 
 
-def _check_raw(samples, what):
+def _check_state(samples, what, normalized):
+    """ValueError unless every sample is normalized, or every one raw."""
     for s in samples:
-        if s.normalized:
-            raise ValueError(f"{what} takes raw samples; {s.entity_id!r} is normalized")
+        if s.normalized != normalized:
+            want, got = ("normalized", "raw") if normalized else ("raw", "normalized")
+            raise ValueError(f"{what} takes {want} samples; {s.entity_id!r} is {got}")
 
 
 @dataclass
@@ -376,13 +349,23 @@ def _columns(samples, schema):
     """B, T, the [B*T, n_num] numerical values, and (field, its B*T cells) per
     categorical field; cells are taken step by step in sample order."""
     B, T = len(samples), len(samples[0].steps)
+    for s in samples:
+        if len(s.steps) != T:
+            raise ValueError(f"every sample in a batch needs {T} steps; "
+                             f"{s.entity_id!r} has {len(s.steps)}")
     steps = [step for s in samples for step in s.steps]
-    if len(steps) != B * T:
-        raise ValueError(f"every sample in a batch needs {T} steps")
     row = _items([f.name for f in schema if f.kind == "numerical"])
     values = np.array([row(step) for step in steps], dtype=np.float64)
     return B, T, values, [(f, [step[f.name] for step in steps])
                           for f in schema if f.kind == "categorical"]
+
+
+def _items(keys):
+    """A function giving the tuple of a step's values at ``keys``."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda step: (step[key],)
+    return operator.itemgetter(*keys) if keys else lambda step: ()
 
 
 def _batch(values, categorical, B, T):
@@ -400,7 +383,7 @@ def encode(samples, schema):
     vocab index (unseen ones the OOV index), and multi-valued weights are
     renormalized over the known categories.
     """
-    _check_raw(samples, "encode")
+    _check_state(samples, "encode", normalized=False)
     B, T, raw, columns = _columns(samples, schema)
     numeric = [f for f in schema if f.kind == "numerical"]
     values = ((raw - np.array([f.mean for f in numeric], dtype=np.float64))
@@ -431,6 +414,7 @@ def encode(samples, schema):
 
 def gather(samples, schema):
     """The embedding's input arrays for a batch of normalized samples; no arithmetic."""
+    _check_state(samples, "gather", normalized=True)
     B, T, values, columns = _columns(samples, schema)
     categorical = {}
     for f, cells in columns:

@@ -337,6 +337,24 @@ class TestEncode:
         self.assert_same_arrays(got, gather([normalize(SequencedSample("e", steps, 0),
                                                        schema)], schema))
 
+    def test_mixed_step_counts_are_refused(self):
+        # 3 + 2 + 4 steps make B * T = 9, but no entity's steps may run into the next
+        schema = [FeatureField("x", "numerical", mean=0.0, std=1.0)]
+        samples = [SequencedSample(f"e{i}", [{"x": float(t)} for t in range(T)], 0)
+                   for i, T in enumerate([3, 2, 4])]
+        with pytest.raises(ValueError, match="'e1' has 2"):
+            encode(samples, schema)
+        with pytest.raises(ValueError, match="'e1' has 2"):
+            gather([normalize(s, schema) for s in samples], schema)
+
+    def test_each_front_end_takes_its_own_samples(self):
+        schema = [FeatureField("x", "numerical", mean=0.0, std=1.0)]
+        raw = SequencedSample("e", [{"x": 1.0}], 0)
+        with pytest.raises(ValueError, match="gather takes normalized samples"):
+            gather([raw], schema)
+        with pytest.raises(ValueError, match="encode takes raw samples"):
+            encode([normalize(raw, schema)], schema)
+
 
 class TestSplit:
     def test_sizes(self):

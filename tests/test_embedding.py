@@ -17,12 +17,12 @@ def make_schema():
 
 def make_sample(cat_idx, n1, n2, T=2):
     steps = [{"cat": cat_idx, "num1": n1, "num2": n2} for _ in range(T)]
-    return SequencedSample("e", steps, 0)
+    return SequencedSample("e", steps, 0, normalized=True)
 
 
 def embed_step(layer, step):
     """embed_batch of a single one-period sample: one [n1, d] array."""
-    return layer.embed_batch([SequencedSample("e", [step], 0)]).data[0, 0]
+    return layer.embed_batch([SequencedSample("e", [step], 0, normalized=True)]).data[0, 0]
 
 
 def categorical_layer(table, multi_valued=False, vocab=("a", "b")):
@@ -100,7 +100,7 @@ class TestEmbedSample:
         schema = [FeatureField("n", "numerical")]
         layer = EmbeddingLayer(schema, d=3, rng=np.random.default_rng(2))
         layer.basis.data[...] = 0.0
-        out = layer.embed_batch([SequencedSample("e", [{"n": 0.0}], 0)])
+        out = layer.embed_batch([SequencedSample("e", [{"n": 0.0}], 0, normalized=True)])
         np.testing.assert_array_equal(out.data, np.zeros((1, 1, 1, 3)))
 
     def test_linear_in_numeric_value(self):
@@ -122,7 +122,7 @@ class TestEmbedSample:
         schema = [FeatureField("biz", "categorical", vocab=["x", "y"],
                                multi_valued=True)]
         layer = EmbeddingLayer(schema, d=2, rng=np.random.default_rng(5))
-        s = SequencedSample("e", [{"biz": [0.25, 0.75]}], 0)
+        s = SequencedSample("e", [{"biz": [0.25, 0.75]}], 0, normalized=True)
         out = layer.embed_batch([s]).data[0, 0, 0]
         table = layer.tables["biz"].data
         np.testing.assert_allclose(out, 0.25 * table[0] + 0.75 * table[1])
