@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from crossnet import autodiff as ad
 from crossnet import explain
 from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
                            split, synthetic_schema_config)
@@ -27,7 +26,6 @@ samples = gen_synthetic_interaction(600, T=2, noise_fields=2, seed=7)
 ds = split(samples, 0.7, seed=7)
 schema = build_schema(ds.train, synthetic_schema_config(2, 2))
 train_set = [normalize(s, schema) for s in ds.train]
-test_set = [normalize(s, schema) for s in ds.test]
 
 # ---------------------------------------------------------------------------
 # Model: one crossing block (rank 2), small everything, L1 on selection.
@@ -37,7 +35,7 @@ cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                   lam=1e-3, lr=0.03, epochs=120, batch_size=8, seed=7)
 model, trace = train(train_set, schema, cfg)
 
-report = evaluate(model, ds.test)   # raw samples: encoded batch by batch
+report = evaluate(model, ds.test)   # raw samples, scored by Model.score
 print(f"test accuracy {report.acc:.3f}, AUC {report.auc:.3f} "
       f"(final train loss {trace[-1][1]:.4f})")
 
@@ -59,13 +57,12 @@ for rank in (1, 2):
 # Individual explanation for one test entity.
 # ---------------------------------------------------------------------------
 
-sample = test_set[0]
-with ad.no_grad():   # scoring only: build no backward graph
-    fwd = model.forward([sample])
-pred = int(fwd["y"].data[0].argmax())
+sample = ds.test[0]
+_, out = next(model.score([sample]))   # forward-only: builds no backward graph
+pred = int(out["y"][0].argmax())
 names = explain.channel_pattern_names(model.blocks, model.schema, cfg.epsilon)
 expl, E = explain.individual_explanation(
-    fwd["p"].data[0], fwd["q"].data[0], fwd["r"].data[0], pred,
+    out["p"][0], out["q"][0], out["r"][0], pred,
     K=5, pattern_names=names)
 
 print(f"\nentity {sample.entity_id}: predicted class {pred} "

@@ -206,14 +206,6 @@ def leaky_relu(a, slope=0.1):
     )
 
 
-def exp(a):
-    return _elementwise(a, np.exp, lambda x, y: y)
-
-
-def log(a):
-    return _elementwise(a, np.log, lambda x, y: 1.0 / x)
-
-
 def absolute(a):
     # subgradient 0 at exactly-zero entries (lasso convention)
     return _elementwise(a, np.abs, lambda x, y: np.sign(x))

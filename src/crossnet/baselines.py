@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import encode
+
 ALTMAN_COEFFICIENTS = np.array([0.517, -0.460, 18.640, 0.388, 1.158])
 ALTMAN_THRESHOLD = 0.9
 
@@ -39,24 +41,23 @@ def zscore_rate(x, model=None):
 
 
 def flatten_samples(samples, schema):
-    """Per entity: T * (numeric values + one-hot categoricals) feature vector."""
-    rows = []
-    for s in samples:
-        vec = []
-        for step in s.steps:
-            for f in schema:
-                v = step[f.name]
-                if f.kind == "numerical":
-                    vec.append(v)
-                elif f.multi_valued:
-                    vec.extend(v)
-                    vec.append(0.0)   # OOV slot
-                else:
-                    onehot = [0.0] * (len(f.vocab) + 1)
-                    onehot[v] = 1.0
-                    vec.extend(onehot)
-        rows.append(vec)
-    return np.array(rows, dtype=np.float64)
+    """Per raw entity: T * (numeric values + one-hot categoricals) feature vector.
+
+    The values are ``data.encode``'s: standardized numbers with missing ones
+    at 0, a one-hot row of V + 1 slots (the last is OOV) per categorical
+    cell, and the V + 1 renormalized weights of a multi-valued cell.
+    """
+    batch = encode(samples, schema)
+    numeric = iter(batch.numeric)
+    columns = []
+    for f in schema:
+        if f.kind == "numerical":
+            columns.append(next(numeric)[:, :, None])
+        elif f.multi_valued:
+            columns.append(batch.categorical[f.name])
+        else:
+            columns.append(np.eye(len(f.vocab) + 1)[batch.categorical[f.name]])
+    return np.concatenate(columns, axis=2).reshape(len(samples), -1)
 
 
 def _sigmoid(z):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, explain
-from .data import (DataError, SchemaConfig, build_schema, encode, gen_synthetic_interaction,
+from .data import (DataError, SchemaConfig, build_schema, gen_synthetic_interaction,
                    load_csv, normalize, split, synthetic_schema_config)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
@@ -46,6 +46,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
+        for name in self.zscore_fields:
+            if name not in self.fields or name in self.categorical + self.multi_valued:
+                raise ValueError(f"zscore field {name!r} is not a listed numerical field")
 
     def schema_config(self):
         return SchemaConfig(fields=list(self.fields),
@@ -117,20 +120,28 @@ def cmd_ingest(args, cfg):
     rows = {}
     for period, path in enumerate(args.inputs):
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty file")
             for col in [cfg.entity_column] + list(cfg.fields):
-                if col not in reader.fieldnames:
+                if col not in header:
                     raise DataError(f"{path}: missing column {col!r}")
-            has_label = cfg.label_column in reader.fieldnames
+            column = {name: i for i, name in enumerate(header)}   # a repeated name takes its last
+            entity_col, label_col = column[cfg.entity_column], column.get(cfg.label_column)
+            field_cols = [column[f] for f in cfg.fields]
             for row in reader:
-                entity = row[cfg.entity_column]
-                key = (entity, period)
+                if not row:                 # a blank line
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                    f"cells, got {len(row)}")
+                key = (row[entity_col], period)
                 if key in rows:
-                    raise DataError(f"duplicate (entity, period) pair {key}")
-                label = row.get(cfg.label_column, "") if has_label else ""
-                rows[key] = ([row[f] for f in cfg.fields], label)
+                    raise DataError(f"{path}:{reader.line_num}: duplicate (entity, period) "
+                                    f"pair {key}")
+                label = row[label_col] if label_col is not None else ""
+                rows[key] = ([row[c] for c in field_cols], label)
 
     final = len(args.inputs) - 1
     entities = sorted({e for e, _ in rows})
@@ -200,12 +211,11 @@ def cmd_explain(args, cfg):
     if raw is None:
         print(f"unknown entity id {args.entity!r}", file=sys.stderr)
         return 1
-    with ad.no_grad():
-        fwd = model.forward(encode([raw], model.schema))
+    _, out = next(model.score([raw]))
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
-    pred = int(fwd["y"].data[0].argmax())
+    pred = int(out["y"][0].argmax())
     expl, E = explain.individual_explanation(
-        fwd["p"].data[0], fwd["q"].data[0], fwd["r"].data[0], pred,
+        out["p"][0], out["q"][0], out["r"][0], pred,
         model.config.top_k, pattern_names=names)
     explain.emit_reports(None, {args.entity: (expl, E)}, out_dir)
     print(f"wrote explanation files for {args.entity} in {out_dir}")
@@ -227,8 +237,8 @@ def cmd_baseline(args, cfg):
         report = confusion_report(preds, labels)
     else:
         schema = build_schema(ds.train, cfg.schema_config())
-        Xtr = baselines.flatten_samples(_normalize_all(ds.train, schema), schema)
-        Xte = baselines.flatten_samples(_normalize_all(ds.test, schema), schema)
+        Xtr = baselines.flatten_samples(ds.train, schema)
+        Xte = baselines.flatten_samples(ds.test, schema)
         ytr = np.array([s.label for s in ds.train])
         yte = np.array([s.label for s in ds.test])
         lrm = baselines.lr_train(Xtr, ytr, l1=cfg.train.lam, seed=cfg.train.seed)

@@ -32,9 +32,6 @@ class SchemaConfig:
     multi_valued: set[str] = field(default_factory=set)
     time_span: int = 5
 
-    def kind(self, name):
-        return "categorical" if name in self.categorical else "numerical"
-
 
 @dataclass
 class FeatureField:

@@ -17,9 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .data import encode
-
 log = logging.getLogger(__name__)
 
 
@@ -96,20 +93,17 @@ def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None):
     return out
 
 
-def rank1_attention_weights(model, samples, batch_size=256):
+def rank1_attention_weights(model, samples):
     """Average feature-attention mass on the rank-1 channels, renormalized.
 
     Used as the rank-1 row of the static pattern report, since raw fields
-    pass through no selection layer. ``samples`` are raw; each batch is
-    encoded when it is scored.
+    pass through no selection layer. ``samples`` are raw, scored by
+    ``Model.score``.
     """
     n1 = len(model.schema)
     acc = np.zeros(n1)
-    with ad.no_grad():
-        for start in range(0, len(samples), batch_size):
-            batch = encode(samples[start:start + batch_size], model.schema)
-            p = model.forward(batch)["p"].data
-            acc += p[:, :n1].sum(axis=0)
+    for _, out in model.score(samples):
+        acc += out["p"][:, :n1].sum(axis=0)
     total = acc.sum()
     return acc / total if total > 0 else np.full(n1, 1.0 / n1)
 

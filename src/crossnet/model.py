@@ -8,7 +8,6 @@ crossing-block selection matrices, with plain minibatch SGD.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -30,6 +29,7 @@ from .embedding import EmbeddingLayer
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DCRS1"
+SCORE_BATCH = 256   # samples per forward pass when scoring
 
 
 class TrainingDiverged(RuntimeError):
@@ -222,6 +222,21 @@ class Model:
         y, r = predict(h_last, self.out)
         return {"y": y, "r": r, "p": p, "q": q, "stack": stack}
 
+    def score(self, samples):
+        """Score raw samples forward-only, SCORE_BATCH at a time.
+
+        Yields ``(batch, arrays)`` per batch: the slice of ``samples`` and the
+        arrays y [B,k], r [B,k], p [B,N] and q [B,T]. ``no_grad`` ends before
+        each yield, so it is never held while the caller runs.
+        """
+        for start in range(0, len(samples), SCORE_BATCH):
+            batch = samples[start:start + SCORE_BATCH]
+            with ad.no_grad():
+                fwd = self.forward(encode(batch, self.schema))
+            # keep only the four arrays across the yield, not the rank stack
+            fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
+            yield batch, fwd
+
 
 def objective(batch, model, config):
     """Mean L_q over the batch plus the weighted lasso penalty."""
@@ -313,29 +328,20 @@ def auc(scores, labels):
     return float((rank_sum_pos - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
 
-def evaluate(model, samples, batch_size=256):
+def evaluate(model, samples):
     """Confusion counts, accuracy, type I/II errors and AUC on class-1 scores.
 
-    ``samples`` are raw, as ``load_csv`` returns them, and need only ``len``
-    and slicing: each batch is sliced once and encoded when it is scored.
+    ``samples`` are raw, as ``load_csv`` returns them; every label is checked
+    before the first batch is scored by ``Model.score``.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    preds = []
-    pos_scores = []
-    labels = []
-    with ad.no_grad():
-        for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
-            for s in batch:
-                if not 0 <= s.label < model.config.k:
-                    raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
-                                     f"outside [0, {model.config.k})")
-            y = model.forward(encode(batch, model.schema))["y"].data
-            preds.extend(y.argmax(axis=-1).tolist())
-            pos_scores.extend(y[:, 1].tolist())
-            labels.extend(s.label for s in batch)
-    return confusion_report(preds, labels, pos_scores)
+    for s in samples:
+        if not 0 <= s.label < model.config.k:
+            raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
+                             f"outside [0, {model.config.k})")
+    y = np.concatenate([out["y"] for _, out in model.score(samples)])
+    return confusion_report(y.argmax(axis=-1), [s.label for s in samples], y[:, 1])
 
 
 def confusion_report(preds, labels, pos_scores=None):
@@ -365,10 +371,6 @@ def confusion_report(preds, labels, pos_scores=None):
 
 def _schema_json(schema):
     return json.dumps([asdict(f) for f in schema], sort_keys=True).encode()
-
-
-def schema_hash(schema):
-    return hashlib.sha256(_schema_json(schema)).hexdigest()
 
 
 def save_checkpoint(model, path):

@@ -75,8 +75,8 @@ def test_criterion_02_planted_interaction(announce):
 
     lr_accs = []
     for seed in range(5):
-        Xtr = flatten_samples(_normalize_all(ds.train, schema), schema)
-        Xte = flatten_samples(_normalize_all(ds.test, schema), schema)
+        Xtr = flatten_samples(ds.train, schema)
+        Xte = flatten_samples(ds.test, schema)
         m = lr_train(Xtr, np.array([s.label for s in ds.train]), seed=seed)
         preds = (lr_predict(Xte, m) > 0.5).astype(int)
         lr_accs.append(confusion_report(preds, [s.label for s in ds.test]).acc)
@@ -217,8 +217,8 @@ def test_criterion_10_public_stock_data(announce):
     model, _ = train(_normalize_all(ds.train, schema), schema, cfg)
     model_auc = evaluate(model, ds.test).auc
 
-    Xtr = flatten_samples(_normalize_all(ds.train, schema), schema)
-    Xte = flatten_samples(_normalize_all(ds.test, schema), schema)
+    Xtr = flatten_samples(ds.train, schema)
+    Xte = flatten_samples(ds.test, schema)
     m = lr_train(Xtr, np.array([s.label for s in ds.train]), seed=0)
     lr_auc = auc(lr_predict(Xte, m), [s.label for s in ds.test])
     elapsed = time.monotonic() - start

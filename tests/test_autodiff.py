@@ -164,7 +164,7 @@ class TestGradCheck:
 
         def f():
             h = ad.leaky_relu(ad.matmul(a, b))
-            return ad.tmean(ad.exp(ad.scale(h, 0.1)))
+            return ad.tmean(ad.tanh(ad.scale(h, 0.1)))
 
         finite_diff_check(f, [a, b])
 
@@ -230,8 +230,8 @@ def every_op(x, y, rows):
     return [
         ad.add(x, 1.0), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, y),
         x + x, x * x, -x, x - x, x @ y,
-        ad.sigmoid(x), ad.tanh(x), ad.relu(x), ad.leaky_relu(x), ad.exp(x),
-        ad.log(x), ad.absolute(x), ad.power(x, 2.0), ad.clip(x, 0.2, 0.8),
+        ad.sigmoid(x), ad.tanh(x), ad.relu(x), ad.leaky_relu(x),
+        ad.absolute(x), ad.power(x, 2.0), ad.clip(x, 0.2, 0.8),
         ad.tsum(x), ad.tsum(x, axis=1, keepdims=True), ad.tmean(x, axis=0),
         ad.softmax(x), ad.reshape(x, (3, 2)), ad.transpose(x, (1, 0)),
         ad.concat([x, x], axis=0), ad.stack([x, x], axis=1),
@@ -300,12 +300,11 @@ class TestNoGrad:
 # at least 0.1 from every kink: 0 (relu, leaky_relu, absolute) and ±1 (clip)
 _VALUES = st.one_of(st.floats(-2.0, -1.1), st.floats(-0.9, -0.1),
                     st.floats(0.1, 0.9), st.floats(1.1, 2.0))
-_POSITIVE = st.floats(0.1, 2.0)
 _DIM = st.integers(1, 3)
 
 
-def _param(data, shape, name="p", elements=_VALUES):
-    return ad.Param(data.draw(hnp.arrays(np.float64, shape, elements=elements)), name=name)
+def _param(data, shape, name="p"):
+    return ad.Param(data.draw(hnp.arrays(np.float64, shape, elements=_VALUES)), name=name)
 
 
 def _shape(data, min_dims=1):
@@ -325,9 +324,9 @@ def _broadcast(op):
     return build
 
 
-def _unary(op, elements=_VALUES):
+def _unary(op):
     def build(data):
-        x = _param(data, _shape(data, min_dims=0), "x", elements)
+        x = _param(data, _shape(data, min_dims=0), "x")
         return (lambda: op(x)), [x]
     return build
 
@@ -413,8 +412,7 @@ OPS = {
     "add": _broadcast(ad.add), "mul": _broadcast(ad.mul),
     "scale": _unary(lambda x: ad.scale(x, -1.5)), "matmul": _matmul,
     "sigmoid": _unary(ad.sigmoid), "tanh": _unary(ad.tanh), "relu": _unary(ad.relu),
-    "leaky_relu": _unary(ad.leaky_relu), "exp": _unary(ad.exp),
-    "log": _unary(ad.log, _POSITIVE), "absolute": _unary(ad.absolute),
+    "leaky_relu": _unary(ad.leaky_relu), "absolute": _unary(ad.absolute),
     "power": _unary(lambda x: ad.power(x, 3.0)), "clip": _unary(lambda x: ad.clip(x, -1.0, 1.0)),
     "tsum": _tsum, "tmean": _tmean, "softmax": _softmax, "reshape": _reshape,
     "transpose": _transpose, "concat": _concat, "stack": _stack, "slice_axis": _slice,

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossnet.baselines import (ALTMAN_COEFFICIENTS, ALTMAN_THRESHOLD,
                                 LrModel, ZScoreModel, flatten_samples,
                                 lr_predict, lr_train, zscore_rate)
-from crossnet.data import FeatureField, SequencedSample
+from crossnet.data import FeatureField, SequencedSample, normalize
 
 
 class TestZScore:
@@ -47,6 +51,27 @@ class TestZScore:
         assert ALTMAN_THRESHOLD == 0.9
 
 
+def reference_flatten(samples, schema):
+    """flatten_samples as a loop over ``normalize``d samples: the reference."""
+    rows = []
+    for s in samples:
+        vec = []
+        for step in s.steps:
+            for f in schema:
+                v = step[f.name]
+                if f.kind == "numerical":
+                    vec.append(v)
+                elif f.multi_valued:
+                    vec.extend(v)
+                    vec.append(0.0)   # OOV slot
+                else:
+                    onehot = [0.0] * (len(f.vocab) + 1)
+                    onehot[v] = 1.0
+                    vec.extend(onehot)
+        rows.append(vec)
+    return np.array(rows, dtype=np.float64)
+
+
 class TestFlattenSamples:
     def test_numeric_concatenation(self):
         schema = [FeatureField("a", "numerical"), FeatureField("b", "numerical")]
@@ -54,24 +79,61 @@ class TestFlattenSamples:
         X = flatten_samples([s], schema)
         np.testing.assert_array_equal(X, [[1.0, 2.0, 3.0, 4.0]])
 
+    def test_numeric_values_are_standardized(self):
+        schema = [FeatureField("a", "numerical", mean=1.0, std=2.0)]
+        s = SequencedSample("e", [{"a": 5.0}, {"a": math.nan}], 0)
+        np.testing.assert_array_equal(flatten_samples([s], schema), [[2.0, 0.0]])
+
     def test_onehot_width(self):
         schema = [FeatureField("c", "categorical", vocab=["x", "y", "z"])]
-        s = SequencedSample("e", [{"c": 1}], 0)
+        s = SequencedSample("e", [{"c": "y"}], 0)
         X = flatten_samples([s], schema)
         np.testing.assert_array_equal(X, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_oov_index_uses_last_slot(self):
         schema = [FeatureField("c", "categorical", vocab=["x", "y"])]
-        s = SequencedSample("e", [{"c": 2}], 0)
+        s = SequencedSample("e", [{"c": "unseen"}], 0)
         X = flatten_samples([s], schema)
         np.testing.assert_array_equal(X, [[0.0, 0.0, 1.0]])
 
     def test_multi_valued_probs_kept(self):
         schema = [FeatureField("m", "categorical", vocab=["x", "y"],
                                multi_valued=True)]
-        s = SequencedSample("e", [{"m": [0.25, 0.75]}], 0)
+        s = SequencedSample("e", [{"m": {"x": 0.25, "y": 0.75}}], 0)
         X = flatten_samples([s], schema)
         np.testing.assert_array_equal(X, [[0.25, 0.75, 0.0]])
+
+    def test_takes_raw_samples(self):
+        schema = [FeatureField("a", "numerical")]
+        s = normalize(SequencedSample("e", [{"a": 1.0}], 0), schema)
+        with pytest.raises(ValueError, match="raw samples"):
+            flatten_samples([s], schema)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_on_normalized_samples(self, data):
+        n_num = data.draw(st.integers(0, 2))
+        vocab = ["a", "b", "c"]
+        schema = [FeatureField(f"n{i}", "numerical",
+                               mean=data.draw(st.floats(-3.0, 3.0)),
+                               std=data.draw(st.floats(0.1, 4.0))) for i in range(n_num)]
+        schema += [FeatureField("cat", "categorical", vocab=vocab[:data.draw(st.integers(1, 3))]),
+                   FeatureField("multi", "categorical", vocab=vocab[:data.draw(st.integers(1, 3))],
+                                multi_valued=True)]
+        number = st.one_of(st.just(math.nan), st.floats(-1e3, 1e3))
+        category = st.sampled_from(vocab + ["oov"])
+        # weights of known and unknown names; a cell of unknown names only has no known mass
+        multi = st.dictionaries(category, st.floats(0.01, 1.0), min_size=1, max_size=4).map(
+            lambda d: {k: w / sum(d.values()) for k, w in d.items()})
+        step = st.fixed_dictionaries({**{f"n{i}": number for i in range(n_num)},
+                                      "cat": category, "multi": multi})
+        T = data.draw(st.integers(1, 3))
+        B = data.draw(st.integers(1, 4))
+        samples = [SequencedSample(f"e{b}", data.draw(st.lists(step, min_size=T, max_size=T)), 0)
+                   for b in range(B)]
+        got = flatten_samples(samples, schema)
+        want = reference_flatten([normalize(s, schema) for s in samples], schema)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestLrTrain:

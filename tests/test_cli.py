@@ -182,13 +182,26 @@ class TestIngest:
         assert rows[1] == ["acme", "0", "1", "2", "3", ""]
         assert rows[2] == ["acme", "1", "4", "5", "6", "1"]
 
-    def test_duplicate_entity_period(self, tmp_path, config_path):
+    def test_duplicate_entity_period(self, tmp_path, config_path, capsys):
         y1 = tmp_path / "p1.csv"
         self.write_period(y1, [["acme", 1, 2, 3, 0], ["acme", 7, 8, 9, 0]],
                           with_label=True)
         rc = main(["ingest", "--in", str(y1), "--out", str(tmp_path / "o.csv"),
                    "--config", str(config_path)])
         assert rc == 1
+        assert f"{y1}:3: duplicate (entity, period) pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, got", [(["e2", 3], 2), (["e2", 3, 4, 1, 9], 5)])
+    def test_short_or_long_row(self, tmp_path, config_path, capsys, row, got):
+        y1, y2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        self.write_period(y1, [["e1", 1, 2, 3], [], row])
+        self.write_period(y2, [["e1", 4, 5, 6, 1], ["e2", 4, 5, 6, 0]], with_label=True)
+        out = tmp_path / "o.csv"
+        rc = main(["ingest", "--in", str(y1), str(y2), "--out", str(out),
+                   "--config", str(config_path)])
+        assert rc == 1
+        assert f"{y1}:4: expected 4 cells, got {got}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_final_label(self, tmp_path, config_path):
         y1, y2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -305,7 +318,7 @@ class TestExplainCommand:
         def no_split_pass(*args, **kwargs):
             raise AssertionError("explain --entity scored the test split")
 
-        monkeypatch.setattr(cli, "encode", counting_encode)
+        monkeypatch.setattr(model, "encode", counting_encode)
         monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
         ds = cli._load_split(data_path, parse_config(config_path))
         entity = ds.train[0].entity_id
@@ -441,6 +454,20 @@ class TestBaselineCommand:
         rc = main(["baseline", "--data", str(data_path), "--config", str(config_path),
                    "--which", "zscore"])
         assert rc == 2
+
+    @pytest.mark.parametrize("config", [
+        SMALL_CONFIG + "zscore_fields = x1, x2, noise0, x1, size\n",
+        SMALL_CONFIG.replace("noise0", "noise0, sector") + "categorical = sector\n"
+        "zscore_fields = x1, x2, noise0, x1, sector\n"], ids=["unlisted", "categorical"])
+    def test_zscore_fields_must_be_listed_numerical_fields(self, tmp_path, data_path,
+                                                            capsys, config):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(config)
+        rc = main(["baseline", "--data", str(data_path), "--config", str(cfg),
+                   "--which", "zscore"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "is not a listed numerical field" in err
 
     def test_zscore_runs_with_fields(self, tmp_path, data_path, capsys):
         cfg = tmp_path / "z.cfg"

@@ -10,7 +10,7 @@ from crossnet.autodiff import Tensor
 from crossnet.crossing import lasso_penalty
 from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
                            synthetic_schema_config)
-from crossnet.model import (GruParams, Model, OutputParams, TrainConfig,
+from crossnet.model import (SCORE_BATCH, GruParams, Model, OutputParams, TrainConfig,
                             auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
                             save_checkpoint, time_concat, train)
@@ -161,6 +161,56 @@ class TestObjective:
         loss, fwd = objective(samples, model, cfg)
         base = lq_loss(fwd["y"], [s.label for s in samples], cfg.q)
         assert loss.data.item() == pytest.approx(base.data.item())
+
+
+class TestScore:
+    """Model.score: forward-only batches of raw samples, grad mode restored at each yield."""
+
+    @pytest.fixture
+    def scored(self):
+        samples = gen_synthetic_interaction(SCORE_BATCH + 10, 2, 1, seed=0)
+        schema = build_schema(samples, synthetic_schema_config(1, 2))
+        return Model(schema, small_config()), samples
+
+    def test_batches_match_forward_on_normalized_samples(self, scored):
+        model, samples = scored
+        got = list(model.score(samples))
+        assert [len(batch) for batch, _ in got] == [SCORE_BATCH, 10]
+        for (batch, out), start in zip(got, (0, SCORE_BATCH)):
+            assert batch == samples[start:start + len(batch)]
+            fwd = model.forward([normalize(s, model.schema) for s in batch])
+            assert sorted(out) == ["p", "q", "r", "y"]
+            for k, v in out.items():
+                np.testing.assert_array_equal(v, fwd[k].data)
+
+    # each test holds the generator, so leaving the loop does not close it
+    def test_breaking_after_one_batch_leaves_grad_mode_on(self, scored):
+        model, samples = scored
+        batches = model.score(samples)
+        for _ in batches:
+            assert ad.grad_enabled()
+            break
+        assert ad.grad_enabled()
+        assert len(next(batches)[0]) == 10
+
+    def test_an_exception_in_the_consumer_leaves_grad_mode_on(self, scored):
+        model, samples = scored
+        batches = model.score(samples)
+        with pytest.raises(RuntimeError, match="consumer"):
+            for _ in batches:
+                raise RuntimeError("consumer failed")
+        assert ad.grad_enabled()
+
+    def test_evaluate_checks_every_label_before_scoring(self, scored, monkeypatch):
+        model, samples = scored
+        samples[-1].label = 2
+
+        def no_forward(*args):
+            raise AssertionError("scored before the labels were checked")
+
+        monkeypatch.setattr(Model, "forward", no_forward)
+        with pytest.raises(ValueError, match="has label 2, outside"):
+            evaluate(model, samples)
 
 
 class TestTrain:
