@@ -30,7 +30,6 @@ samples = gen_synthetic_interaction(600, T=2, noise_fields=2, seed=7)
 ds = split(samples, 0.7, seed=7)
 schema = build_schema(ds.train, synthetic_schema_config(2, 2))
 train_set = [normalize(s, schema) for s in ds.train]
-test_set = [normalize(s, schema) for s in ds.test]
 y_train = np.array([s.label for s in ds.train])
 y_test = [s.label for s in ds.test]
 
@@ -38,8 +37,8 @@ y_test = [s.label for s in ds.test]
 # L1 logistic regression on the flattened sequences.
 # ---------------------------------------------------------------------------
 
-X_train = flatten_samples(train_set, schema)
-X_test = flatten_samples(test_set, schema)
+X_train = flatten_samples(ds.train, schema)
+X_test = flatten_samples(ds.test, schema)
 lrm = lr_train(X_train, y_train, l1=1e-3, seed=7)
 lr_acc = confusion_report((lr_predict(X_test, lrm) > 0.5).astype(int), y_test).acc
 print(f"logistic regression test accuracy: {lr_acc:.3f} (chance is ~0.5)")

@@ -58,7 +58,7 @@ for rank in (1, 2):
 # ---------------------------------------------------------------------------
 
 sample = ds.test[0]
-_, out = next(model.score([sample]))   # forward-only: builds no backward graph
+out = next(model.score([sample]))   # forward-only: builds no backward graph
 pred = int(out["y"][0].argmax())
 names = explain.channel_pattern_names(model.blocks, model.schema, cfg.epsilon)
 expl, E = explain.individual_explanation(

@@ -211,7 +211,7 @@ def cmd_explain(args, cfg):
     if raw is None:
         print(f"unknown entity id {args.entity!r}", file=sys.stderr)
         return 1
-    _, out = next(model.score([raw]))
+    out = next(model.score([raw]))
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(out["y"][0].argmax())
     expl, E = explain.individual_explanation(

@@ -102,7 +102,7 @@ def rank1_attention_weights(model, samples):
     """
     n1 = len(model.schema)
     acc = np.zeros(n1)
-    for _, out in model.score(samples):
+    for out in model.score(samples):
         acc += out["p"][:, :n1].sum(axis=0)
     total = acc.sum()
     return acc / total if total > 0 else np.full(n1, 1.0 / n1)

@@ -225,17 +225,16 @@ class Model:
     def score(self, samples):
         """Score raw samples forward-only, SCORE_BATCH at a time.
 
-        Yields ``(batch, arrays)`` per batch: the slice of ``samples`` and the
-        arrays y [B,k], r [B,k], p [B,N] and q [B,T]. ``no_grad`` ends before
-        each yield, so it is never held while the caller runs.
+        Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
+        batch, in order. ``no_grad`` ends before each yield, so it is never
+        held while the caller runs.
         """
         for start in range(0, len(samples), SCORE_BATCH):
-            batch = samples[start:start + SCORE_BATCH]
             with ad.no_grad():
-                fwd = self.forward(encode(batch, self.schema))
+                fwd = self.forward(encode(samples[start:start + SCORE_BATCH], self.schema))
             # keep only the four arrays across the yield, not the rank stack
             fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
-            yield batch, fwd
+            yield fwd
 
 
 def objective(batch, model, config):
@@ -340,7 +339,7 @@ def evaluate(model, samples):
         if not 0 <= s.label < model.config.k:
             raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
                              f"outside [0, {model.config.k})")
-    y = np.concatenate([out["y"] for _, out in model.score(samples)])
+    y = np.concatenate([out["y"] for out in model.score(samples)])
     return confusion_report(y.argmax(axis=-1), [s.label for s in samples], y[:, 1])
 
 

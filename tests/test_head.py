@@ -175,9 +175,9 @@ class TestScore:
     def test_batches_match_forward_on_normalized_samples(self, scored):
         model, samples = scored
         got = list(model.score(samples))
-        assert [len(batch) for batch, _ in got] == [SCORE_BATCH, 10]
-        for (batch, out), start in zip(got, (0, SCORE_BATCH)):
-            assert batch == samples[start:start + len(batch)]
+        assert [len(out["y"]) for out in got] == [SCORE_BATCH, 10]
+        for out, start in zip(got, (0, SCORE_BATCH)):
+            batch = samples[start:start + SCORE_BATCH]
             fwd = model.forward([normalize(s, model.schema) for s in batch])
             assert sorted(out) == ["p", "q", "r", "y"]
             for k, v in out.items():
@@ -191,7 +191,7 @@ class TestScore:
             assert ad.grad_enabled()
             break
         assert ad.grad_enabled()
-        assert len(next(batches)[0]) == 10
+        assert len(next(batches)["y"]) == 10
 
     def test_an_exception_in_the_consumer_leaves_grad_mode_on(self, scored):
         model, samples = scored

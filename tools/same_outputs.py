@@ -137,14 +137,13 @@ def main(argv=None):
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--work", required=True,
                    help="scratch directory; its parent/ and change/ are replaced")
-    p.add_argument("--sets", default=",".join(SETS), help="comma-separated data sets")
     args = p.parse_args(argv)
     work = Path(args.work)
     for side in SIDES:
         shutil.rmtree(work / side, ignore_errors=True)
     differences = 0
-    for set_name in args.sets.split(","):
-        samples, schema_config, config = SETS[set_name]()
+    for set_name, make_set in SETS.items():
+        samples, schema_config, config = make_set()
         digests = {}
         for side in SIDES:
             set_dir = work / side / set_name
