@@ -9,6 +9,7 @@ the ``name:weight;name:weight`` syntax and are renormalized to sum to 1.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import operator
@@ -249,6 +250,8 @@ def build_schema(train, schema_config):
     """
     if not train:
         raise DataError("cannot build a schema from an empty training split")
+    numeric = [name for name in schema_config.fields if name not in schema_config.categorical]
+    columns = dict(zip(numeric, _numeric_columns(train, numeric).T))
     fields = []
     for name in schema_config.fields:
         if name in schema_config.categorical:
@@ -265,8 +268,8 @@ def build_schema(train, schema_config):
             fields.append(FeatureField(name, "categorical", vocab=sorted(cats),
                                        multi_valued=name in schema_config.multi_valued))
         else:
-            vals = np.array([step[name] for s in train for step in s.steps])
-            vals = vals[~np.isnan(vals)]
+            vals = columns[name]
+            vals = vals[~np.isnan(vals)]    # a contiguous copy, summed as one array
             if vals.size == 0:
                 log.warning("numerical field %r has no values, dropped", name)
                 continue
@@ -277,6 +280,16 @@ def build_schema(train, schema_config):
                 continue
             fields.append(FeatureField(name, "numerical", mean=mean, std=std))
     return fields
+
+
+def _numeric_columns(samples, names):
+    """The [steps, len(names)] float64 values at ``names`` of every step, in
+    one pass that holds one step's tuple at a time."""
+    steps = sum(len(s.steps) for s in samples)
+    row = _items(names)
+    cells = itertools.chain.from_iterable(map(row, (step for s in samples for step in s.steps)))
+    return np.fromiter(cells, dtype=np.float64, count=steps * len(names)).reshape(
+        steps, len(names))
 
 
 def normalize(sample, schema):
@@ -449,13 +462,12 @@ def gen_synthetic_interaction(n_samples, T, noise_fields, seed):
         raise DataError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     names = ["x1", "x2"] + [f"noise{i}" for i in range(noise_fields)]
-    samples = []
-    for i in range(n_samples):
-        vals = rng.uniform(-1.0, 1.0, size=(T, len(names)))
-        steps = [{n: float(vals[t, j]) for j, n in enumerate(names)} for t in range(T)]
-        label = 1 if vals[-1, 0] * vals[-1, 1] > 0 else 0
-        samples.append(SequencedSample(f"s{i:05d}", steps, label))
-    return samples
+    # one draw of the whole set gives the stream of one draw per entity
+    vals = rng.uniform(-1.0, 1.0, size=(n_samples, T, len(names)))
+    labels = (vals[:, -1, 0] * vals[:, -1, 1] > 0).tolist()
+    return [SequencedSample(f"s{i:05d}", [dict(zip(names, row)) for row in vals[i].tolist()],
+                            int(labels[i]))
+            for i in range(n_samples)]
 
 
 def synthetic_schema_config(noise_fields, T):

@@ -153,6 +153,19 @@ class TestParseConfig:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_multi_valued_field_must_be_categorical(self, tmp_path, data_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_line("multi_valued = noise0"))
+        with pytest.raises(ConfigError, match="multi_valued field 'noise0' is not a listed "
+                                              "categorical field"):
+            parse_config(p)
+        # refused before the data, whose numeric noise0 cells are no name:weight lists
+        rc = main(["train", "--data", str(data_path), "--config", str(p),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_config_error_exit_code(self, tmp_path, data_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n")
@@ -488,6 +501,31 @@ class TestGradcheckCommand:
     def test_fails_at_impossible_tolerance(self, config_path):
         rc = main(["gradcheck", "--config", str(config_path), "--tol", "1e-300"])
         assert rc == 1
+
+    def test_selection_weights_clear_the_lasso_kink(self, tmp_path, monkeypatch):
+        # at seed 12 an initial cross3.w_pca entry is 8.3e-5, within one
+        # finite-difference step of the kink of |w|
+        cfg = tmp_path / "kink.cfg"
+        cfg.write_text("fields = x1, x2, noise0\nT = 3\nd = 4\nrank_widths = 4, 3\n"
+                       "s = 3\nh = 8\nseed = 12\n")
+        tc = dataclasses.replace(parse_config(cfg).train, h=5, rank_widths=[3, 3])   # as capped
+        schema = build_schema(gen_synthetic_interaction(4, 3, 1, seed=12),
+                              synthetic_schema_config(1, 3))
+        fresh = np.concatenate([b.w_pca.data.ravel() for b in model.Model(schema, tc).blocks])
+        assert np.abs(fresh).min() < 1e-4
+        checked = []
+        grad_check = cli.ad.grad_check
+
+        def keeping(f, params, **kwargs):
+            checked.extend(p.data.ravel().copy() for p in params if p.name.endswith("w_pca"))
+            return grad_check(f, params, **kwargs)
+
+        monkeypatch.setattr(cli.ad, "grad_check", keeping)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        w = np.concatenate(checked)
+        near = np.abs(fresh) < 2e-4
+        assert np.array_equal(w[~near], fresh[~near])
+        assert np.array_equal(w[near], np.copysign(2e-4, fresh[near]))
 
     def test_checks_a_small_model_at_any_configured_size(self, tmp_path, monkeypatch):
         fields = ", ".join(["x1", "x2"] + [f"noise{i}" for i in range(23)])

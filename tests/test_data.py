@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,71 @@ class TestRoundTrip:
                 assert g["multi"] == {k: v / total for k, v in w["multi"].items()}
 
 
+def _build_schema_per_field(train, schema_config):
+    """build_schema with one pass over the steps per numerical field: the reference."""
+    if not train:
+        raise DataError("cannot build a schema from an empty training split")
+    fields = []
+    for name in schema_config.fields:
+        if name in schema_config.categorical:
+            cats = set()
+            for s in train:
+                for step in s.steps:
+                    v = step[name]
+                    if isinstance(v, dict):
+                        cats.update(v.keys())
+                    else:
+                        cats.add(v)
+            if not cats:
+                raise DataError(f"categorical field {name!r} has an empty vocabulary")
+            fields.append(FeatureField(name, "categorical", vocab=sorted(cats),
+                                       multi_valued=name in schema_config.multi_valued))
+        else:
+            vals = np.array([step[name] for s in train for step in s.steps])
+            vals = vals[~np.isnan(vals)]
+            if vals.size == 0:
+                continue
+            mean = float(vals.mean())
+            std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+            if std <= 0.0:
+                continue
+            fields.append(FeatureField(name, "numerical", mean=mean, std=std))
+    return fields
+
+
+_FINITE = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def _schema_cases(draw):
+    """A training split and its SchemaConfig: numerical fields that mix floats
+    and NaN, are all NaN or are constant, in any order with a categorical and a
+    multi-valued field; a split of one entity of one step occurs."""
+    n, T = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    numeric = [f"x{j}" for j in range(draw(st.integers(0, 4)))]
+    cells = {"c": _NAMES, "m": st.dictionaries(_NAMES, _WEIGHTS, min_size=1, max_size=3)}
+    for name in numeric:
+        kind = draw(st.sampled_from(["mixed", "nan", "constant"]))
+        cells[name] = (_FINITE | st.just(math.nan) if kind == "mixed" else
+                       st.just(math.nan) if kind == "nan" else st.just(draw(_FINITE)))
+    fields = draw(st.permutations(numeric + ["c", "m"]))
+    samples = [SequencedSample(f"e{i}", [{f: draw(cells[f]) for f in fields}
+                                         for _ in range(T)], 0)
+               for i in range(n)]
+    return samples, SchemaConfig(fields=list(fields), categorical={"c", "m"},
+                                 multi_valued={"m"}, time_span=T)
+
+
 class TestBuildSchema:
+    @settings(max_examples=200, deadline=None)
+    @given(_schema_cases())
+    def test_same_fields_as_one_pass_per_field(self, case):
+        samples, cfg = case
+        got = [asdict(f) for f in build_schema(samples, cfg)]
+        want = [asdict(f) for f in _build_schema_per_field(samples, cfg)]
+        # repr tells every float bit pattern apart (-0.0 too) and a NumPy scalar from a float
+        assert repr(got) == repr(want)
+
     def test_vocab_sorted(self):
         cfg = SchemaConfig(fields=["c"], categorical={"c"}, time_span=2)
         samples = [SequencedSample("a", [{"c": "b"}, {"c": "a"}], 0)]
@@ -387,7 +452,31 @@ class TestSplit:
             split(samples, 1.5, seed=0)
 
 
+def _synthetic_per_entity(n_samples, T, noise_fields, seed):
+    """gen_synthetic_interaction with one draw and one label test per entity: the reference."""
+    rng = np.random.default_rng(seed)
+    names = ["x1", "x2"] + [f"noise{i}" for i in range(noise_fields)]
+    samples = []
+    for i in range(n_samples):
+        vals = rng.uniform(-1.0, 1.0, size=(T, len(names)))
+        steps = [{n: float(vals[t, j]) for j, n in enumerate(names)} for t in range(T)]
+        label = 1 if vals[-1, 0] * vals[-1, 1] > 0 else 0
+        samples.append(SequencedSample(f"s{i:05d}", steps, label))
+    return samples
+
+
 class TestSynthetic:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_same_samples_as_a_draw_per_entity(self, n, T, noise, seed):
+        def view(samples):
+            return [(s.entity_id, type(s.label), s.label,
+                     [[(k, type(v), v.hex()) for k, v in step.items()] for step in s.steps])
+                    for s in samples]
+
+        assert view(gen_synthetic_interaction(n, T, noise, seed)) == view(
+            _synthetic_per_entity(n, T, noise, seed))
+
     def test_sign_rule(self):
         samples = gen_synthetic_interaction(200, 2, 1, seed=3)
         for s in samples:

@@ -1,0 +1,58 @@
+"""tools/gc_probe_check.py sorts each automatic collection into one place."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "gc_probe_check.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("gc_probe_check", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a timed round over [10, 20) with a probe inside it at [18, 19), a set-up at
+# [2, 3) followed by its probe at [3, 4), and a second timed round at [30, 40)
+INTERVALS = {"probe": [(18.0, 19.0), (3.0, 4.0)], "setup": [(2.0, 3.0)],
+             "timed": [(10.0, 20.0), (30.0, 40.0)]}
+
+
+@pytest.mark.parametrize("t, place", [
+    (18.5, "probe"),        # a probe inside a timed round counts as the probe's
+    (3.0, "probe"),         # an interval holds its start
+    (2.999, "setup"),
+    (4.0, "elsewhere"),     # but not its end
+    (10.0, "timed"), (19.0, "timed"), (39.9, "timed"),
+    (0.0, "elsewhere"), (25.0, "elsewhere"), (40.0, "elsewhere"),
+])
+def test_one_collection(tool, t, place):
+    counts = tool.classify([t], [2], INTERVALS)
+    assert counts[2] == {p: int(p == place) for p in tool.PLACES}
+    assert counts[0] == counts[1] == dict.fromkeys(tool.PLACES, 0)
+
+
+def test_counts_per_generation(tool):
+    starts = [18.2, 18.4, 11.0, 2.5, 50.0, 35.0]
+    gens = [2, 0, 0, 1, 2, 2]
+    assert tool.classify(starts, gens, INTERVALS) == {
+        0: {"probe": 1, "setup": 0, "timed": 1, "elsewhere": 0},
+        1: {"probe": 0, "setup": 1, "timed": 0, "elsewhere": 0},
+        2: {"probe": 1, "setup": 0, "timed": 1, "elsewhere": 1}}
+
+
+def test_no_intervals(tool):
+    assert tool.classify([1.0, 2.0], [0, 2], {})[2]["elsewhere"] == 1
+
+
+def test_placement_is_the_places_not_the_counts(tool):
+    def result(probe, timed):
+        return {"counts": {2: {"probe": probe, "setup": 0, "timed": timed, "elsewhere": 0}}}
+
+    assert tool.placement(result(44, 0)) == tool.placement(result(45, 0)) == {"probe"}
+    assert tool.placement(result(44, 0)) != tool.placement(result(0, 44))
+    assert tool.placement(result(44, 0)) != tool.placement(result(43, 1))

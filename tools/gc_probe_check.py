@@ -1,0 +1,260 @@
+"""Where perfbench's automatic garbage collections land: probes, set-ups or timed work.
+
+    python3 tools/gc_probe_check.py --checkout . --workload train_small --seed 84 --seconds 30
+    python3 tools/gc_probe_check.py --parent ../parent --change . \
+        --workload train_small --seeds 84,85 --seconds 30
+
+perfbench rescales each timed figure by host-speed probes (perfbench/hostspeed.py).
+A cyclic collection of generation 2 takes milliseconds; when one lands
+inside a probe, the probe reads the host as slow and every figure it
+rescales as fast. A change to how many objects the program allocates can
+move that collection into or out of the probes without changing any raw
+time, so a perf change is checked with this tool on both sides.
+
+With ``--checkout`` the tool runs that checkout's ``perfbench/run.py`` main
+in this process (untraced, for one workload and seed), with BLAS pinned to
+one thread before NumPy loads, as run.py does. It hooks ``gc.callbacks``
+and wraps ``hostspeed.probe``, run.py's timed set-ups and timed rounds, and
+counts, per generation, the automatic collections that start in each of:
+
+- ``probe``: a host-speed probe;
+- ``setup``: a timed set-up;
+- ``timed``: a timed training round, or a timed score_explain phase or
+  per-entity explanation (warm-up rounds are not timed);
+- ``elsewhere``: anywhere else, such as warm-up rounds or the checks
+  between score_explain phases.
+
+The harness's own ``gc.collect()`` calls are not counted. It also prints the
+run's set-up factor (``setup_s`` ÷ ``raw.setup_s``) and its median tape factor.
+The last stdout line is the result as JSON.
+
+With ``--parent`` and ``--change`` it runs itself once per side and seed, in
+a new process each, prints both sides, and exits 1 when, for any seed, the
+places that hold generation-2 collections differ between the sides. The
+counts themselves may differ by as much as the number of rounds each run
+fitted in its ``--seconds``. Nothing under perfbench/ is changed; run.py
+writes its record under the checkout's perfbench/out/ as usual.
+"""
+
+from __future__ import annotations
+
+import argparse
+import bisect
+import contextlib
+import functools
+import gc
+import io
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+PLACES = ("probe", "setup", "timed", "elsewhere")   # a collection counts in the first that holds it
+GENERATIONS = (0, 1, 2)
+
+
+def classify(starts, generations, intervals):
+    """{generation: {place: count}} of collections starting at ``starts``.
+
+    ``intervals`` maps each place but "elsewhere" to a list of (start, end)
+    pairs that do not overlap one another. Probes run inside timed rounds
+    and after set-ups, so a place earlier in PLACES wins.
+    """
+    counts = {g: dict.fromkeys(PLACES, 0) for g in GENERATIONS}
+    spans = {place: sorted(intervals.get(place, ())) for place in PLACES[:-1]}
+    for t, gen in zip(starts, generations):
+        for place in PLACES[:-1]:
+            i = bisect.bisect_right(spans[place], (t, float("inf"))) - 1
+            if i >= 0 and spans[place][i][0] <= t < spans[place][i][1]:
+                break
+        else:
+            place = "elsewhere"
+        counts[gen][place] += 1
+    return counts
+
+
+class Recorder:
+    """The start time and generation of each automatic collection, and the
+    probe, set-up and timed intervals, as plain float and int lists: they
+    are not tracked by the collector, so recording moves its schedule as
+    little as possible."""
+
+    def __init__(self):
+        self.starts, self.generations = [], []
+        self.bounds = {place: ([], []) for place in PLACES[:-1]}
+        self.manual = False
+        self.timed = False
+
+    def on_gc(self, phase, info):
+        if phase == "start" and not self.manual:
+            self.starts.append(time.perf_counter())
+            self.generations.append(info["generation"])
+
+    def interval(self, place, start):
+        begin, end = self.bounds[place]
+        begin.append(start)
+        end.append(time.perf_counter())
+
+    def counts(self):
+        return classify(self.starts, self.generations,
+                        {place: list(zip(*ends)) for place, ends in self.bounds.items()})
+
+
+def wrap(owner, name, wrapper):
+    """Replace ``owner.name`` by ``wrapper(original)``; return an undo function."""
+    original = getattr(owner, name)
+    setattr(owner, name, wrapper(original))
+    return lambda: setattr(owner, name, original)
+
+
+def instrument(rec, run, hostspeed, workloads):
+    """Install the recording wrappers; return the functions that undo them."""
+    def timing(place, when=lambda: True):
+        def wrapper(fn):
+            @functools.wraps(fn)
+            def timed(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    if when():
+                        rec.interval(place, start)
+            return timed
+        return wrapper
+
+    def manual(fn):
+        @functools.wraps(fn)
+        def collect(*args, **kwargs):
+            rec.manual = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                rec.manual = False
+        return collect
+
+    def rounds(fn):
+        @functools.wraps(fn)
+        def run_rounds(*args, **kwargs):
+            rec.timed = kwargs.get("host") is not None   # warm-up rounds get no host
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                rec.timed = False
+        return run_rounds
+
+    def phases(fn):
+        @contextlib.contextmanager
+        def op(self, name):
+            start = time.perf_counter()
+            try:
+                with fn(self, name):
+                    yield
+            finally:
+                if rec.timed:
+                    rec.interval("timed", start)
+        return op
+
+    in_timed = lambda: rec.timed    # noqa: E731
+    return [wrap(gc, "collect", manual),
+            wrap(hostspeed, "probe", timing("probe")),
+            wrap(run, "timed_setup", timing("setup")),
+            wrap(run, "run_rounds", rounds),
+            # a training round is timed whole; score_explain times each
+            # phase and explanation inside tracer.op
+            wrap(workloads.TrainWorkload, "round", timing("timed", in_timed)),
+            wrap(workloads.NullTracer, "op", phases)]
+
+
+def check_checkout(checkout, workload, seed, seconds):
+    """Run one untraced perfbench run in this process; its counts and factors."""
+    root = Path(checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import run
+    run.single_blas_thread()        # before anything loads NumPy
+    import hostspeed
+    import workloads
+
+    rec = Recorder()
+    undo = instrument(rec, run, hostspeed, workloads)
+    gc.callbacks.append(rec.on_gc)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            run.main(["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)])
+    finally:
+        gc.callbacks.remove(rec.on_gc)
+        for fn in reversed(undo):
+            fn()
+    result = json.loads(out.getvalue().strip().splitlines()[-1])
+    record = json.loads((root / "perfbench" / "out" /
+                         f"{workload}-seed{seed}-trace0.json").read_text())
+    named = {k: v["value"] for k, v in record["named"].items()}
+    return {"counts": rec.counts(), "correct": result["correct"],
+            "setup_factor": result["metrics"]["setup_s"]["value"] / named["raw.setup_s"],
+            "tape_factor": named["host.tape_factor"]}
+
+
+def rows(side, result):
+    return [f"| {side} | {gen} | " + " | ".join(str(result["counts"][gen][p]) for p in PLACES)
+            + f" | {result['setup_factor']:.3f} | {result['tape_factor']:.3f} |"
+            for gen in GENERATIONS]
+
+
+HEADER = ["| side | generation | " + " | ".join(PLACES) + " | setup factor | tape factor |",
+          "|---|---|" + "---|" * len(PLACES) + "---|---|"]
+
+
+def placement(result):
+    """The places that hold generation-2 collections."""
+    return {place for place, n in result["counts"][2].items() if n}
+
+
+def run_side(checkout, workload, seed, seconds):
+    """check_checkout in a new process, so each side imports its own crossnet."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--checkout", checkout,
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=4 * seconds + 300)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["counts"] = {int(g): c for g, c in result["counts"].items()}
+    return result
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--checkout", help="run one checkout in this process")
+    p.add_argument("--parent", help="checkout of the parent commit")
+    p.add_argument("--change", help="checkout of the change")
+    p.add_argument("--workload", required=True,
+                   choices=("train_small", "train_paper", "score_explain"))
+    p.add_argument("--seed", type=int, help="with --checkout")
+    p.add_argument("--seeds", default="84,85", help="with --parent/--change, e.g. 84,85")
+    p.add_argument("--seconds", type=float, default=30)
+    args = p.parse_args(argv)
+    if args.checkout:
+        if args.seed is None:
+            p.error("--checkout needs --seed")
+        result = check_checkout(args.checkout, args.workload, args.seed, args.seconds)
+        print("\n".join(HEADER + rows("checkout", result)))
+        print(json.dumps(result))
+        return 0
+    if not (args.parent and args.change):
+        p.error("give --checkout, or --parent and --change")
+    differ = []
+    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {side: run_side(getattr(args, side), args.workload, seed, args.seconds)
+                   for side in sides}
+        same = placement(results["parent"]) == placement(results["change"])
+        print(f"{args.workload} seed {seed}: generation-2 placement "
+              f"{'same' if same else 'DIFFERS'}")
+        print("\n".join(HEADER + rows("parent", results["parent"])
+                        + rows("change", results["change"])) + "\n")
+        if not same:
+            differ.append(seed)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
