@@ -10,8 +10,8 @@ import numpy as np
 
 from crossnet.baselines import (flatten_samples, lr_predict, lr_train,
                                 zscore_rate)
-from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
-                           split, synthetic_schema_config)
+from crossnet.data import (build_schema, gen_synthetic_interaction, split,
+                           synthetic_schema_config)
 from crossnet.model import TrainConfig, confusion_report, evaluate, train
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,6 @@ print(f"linear score {score:.3f} -> {'positive' if positive else 'negative'}")
 samples = gen_synthetic_interaction(600, T=2, noise_fields=2, seed=7)
 ds = split(samples, 0.7, seed=7)
 schema = build_schema(ds.train, synthetic_schema_config(2, 2))
-train_set = [normalize(s, schema) for s in ds.train]
 y_train = np.array([s.label for s in ds.train])
 y_test = [s.label for s in ds.test]
 
@@ -49,5 +48,5 @@ print(f"logistic regression test accuracy: {lr_acc:.3f} (chance is ~0.5)")
 
 cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                   lam=1e-3, lr=0.03, epochs=120, batch_size=8, seed=7)
-model, _ = train(train_set, schema, cfg)
+model, _ = train(ds.train, schema, cfg)
 print(f"crossing network test accuracy:   {evaluate(model, ds.test).acc:.3f}")

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from crossnet import explain
-from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
-                           split, synthetic_schema_config)
+from crossnet.data import (build_schema, gen_synthetic_interaction, split,
+                           synthetic_schema_config)
 from crossnet.model import Model, TrainConfig, evaluate, train
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
@@ -25,7 +25,6 @@ OUT_DIR = Path(__file__).resolve().parent / "out"
 samples = gen_synthetic_interaction(600, T=2, noise_fields=2, seed=7)
 ds = split(samples, 0.7, seed=7)
 schema = build_schema(ds.train, synthetic_schema_config(2, 2))
-train_set = [normalize(s, schema) for s in ds.train]
 
 # ---------------------------------------------------------------------------
 # Model: one crossing block (rank 2), small everything, L1 on selection.
@@ -33,9 +32,9 @@ train_set = [normalize(s, schema) for s in ds.train]
 
 cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                   lam=1e-3, lr=0.03, epochs=120, batch_size=8, seed=7)
-model, trace = train(train_set, schema, cfg)
+model, trace = train(ds.train, schema, cfg)
 
-report = evaluate(model, ds.test)   # raw samples, scored by Model.score
+report = evaluate(model, ds.test)   # scored by Model.score
 print(f"test accuracy {report.acc:.3f}, AUC {report.auc:.3f} "
       f"(final train loss {trace[-1][1]:.4f})")
 

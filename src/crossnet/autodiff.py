@@ -57,25 +57,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; everything funnels into the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self):
-        backward(self)
-
 
 class Param(Tensor):
     """Trainable tensor with a persistent gradient accumulator."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines, explain
 from .data import (DataError, SchemaConfig, build_schema, gen_synthetic_interaction,
-                   load_csv, normalize, split, synthetic_schema_config)
+                   load_csv, split, synthetic_schema_config)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
 
@@ -110,8 +111,23 @@ def _load_split(data_path, cfg):
     return split(samples, cfg.ratio, cfg.train.seed)
 
 
-def _normalize_all(samples, schema):
-    return [normalize(s, schema) for s in samples]
+def _load_model(path, cfg):
+    """The checkpoint at ``path``; DataError unless the config reads every
+    field of its schema, as the same kind, over the same time span T."""
+    model = load_checkpoint(path)
+    if cfg.train.T != model.config.T:
+        raise DataError(f"the config's T = {cfg.train.T} but {path} was trained "
+                        f"with T = {model.config.T}")
+    for f in model.schema:
+        if f.name not in cfg.fields:
+            raise DataError(f"{path} embeds field {f.name!r}, which the config does not list")
+        want = "multi-valued" if f.multi_valued else f.kind
+        got = ("multi-valued" if f.name in cfg.multi_valued else
+               "categorical" if f.name in cfg.categorical else "numerical")
+        if got != want:
+            raise DataError(f"{path} embeds field {f.name!r} as {want}, "
+                            f"but the config lists it as {got}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +184,8 @@ def cmd_ingest(args, cfg):
 def cmd_train(args, cfg):
     ds = _load_split(args.data, cfg)
     schema = build_schema(ds.train, cfg.schema_config())
-    train_norm = _normalize_all(ds.train, schema)
     try:
-        model, trace = train(train_norm, schema, cfg.train, log_every=1)
+        model, trace = train(ds.train, schema, cfg.train, log_every=1)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
@@ -186,7 +201,7 @@ def cmd_train(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    model = load_checkpoint(args.model)
+    model = _load_model(args.model, cfg)
     ds = _load_split(args.data, cfg)
     report = evaluate(model, ds.train + ds.test if args.all else ds.test)
     print(report.as_table())
@@ -197,7 +212,7 @@ def cmd_eval(args, cfg):
 
 
 def cmd_explain(args, cfg):
-    model = load_checkpoint(args.model)
+    model = _load_model(args.model, cfg)
     ds = _load_split(args.data, cfg)
     eps = model.config.epsilon
     out_dir = Path(args.out)
@@ -233,6 +248,10 @@ def cmd_baseline(args, cfg):
         zmodel = baselines.ZScoreModel()
         preds, labels = [], []
         for s in ds.test:
+            empty = [f for f in cfg.zscore_fields if math.isnan(s.steps[-1][f])]
+            if empty:
+                raise DataError(f"entity {s.entity_id!r} has an empty {empty[0]!r} cell "
+                                f"in its final period, which the zscore baseline reads")
             x = np.array([s.steps[-1][f] for f in cfg.zscore_fields], dtype=np.float64)
             _, positive = baselines.zscore_rate(x, zmodel)
             preds.append(1 if positive else 0)
@@ -268,7 +287,6 @@ def cmd_gradcheck(args, cfg):
                  rank_widths=[min(w, 3) for w in cfg.train.rank_widths])
     samples = gen_synthetic_interaction(4, tc.T, 1, seed=tc.seed)
     schema = build_schema(samples, synthetic_schema_config(1, tc.T))
-    norm = _normalize_all(samples, schema)
     model = Model(schema, tc)
     for block in model.blocks:
         w = block.w_pca.data
@@ -276,7 +294,7 @@ def cmd_gradcheck(args, cfg):
         w[near] = np.copysign(2 * step, w[near])
 
     def f():
-        loss, _ = objective(norm, model, tc)
+        loss, _ = objective(samples, model, tc)
         return loss
 
     report = ad.grad_check(f, model.params(), step=step, tol=args.tol)
@@ -310,7 +328,7 @@ def cmd_sweep(args, cfg):
     for v, run in zip(values, runs):
         ds = _load_split(args.data, run)
         schema = build_schema(ds.train, run.schema_config())
-        model, _ = train(_normalize_all(ds.train, schema), schema, run.train)
+        model, _ = train(ds.train, schema, run.train)
         report = evaluate(model, ds.test)
         rows.append((v, report.acc, report.auc))
         print(f"{args.axis}={v}: acc={report.acc:.4f} auc={report.auc:.4f}")

@@ -1,4 +1,4 @@
-"""CSV ingestion, schema fitting, normalization, splitting and synthetic data.
+"""CSV ingestion, schema fitting, encoding, splitting and synthetic data.
 
 The on-disk format is "long": one row per (entity, period) with columns
 ``entity_id, period_index, <fields...>, label``; the label is only required
@@ -44,7 +44,7 @@ class FeatureField:
     multi_valued: bool = False
 
     def __post_init__(self):
-        """Reject a field that normalize and the embedding could not use."""
+        """Reject a field that encode and the embedding could not use."""
         if not isinstance(self.name, str) or self.kind not in ("categorical", "numerical"):
             raise ValueError(f"bad field name or kind: {self.name!r}, {self.kind!r}")
         if self.kind == "categorical" and not (isinstance(self.vocab, list) and self.vocab):
@@ -71,9 +71,10 @@ class FeatureField:
 @dataclass
 class SequencedSample:
     entity_id: str
-    steps: list[dict]   # per time step: field name -> raw or normalized value
+    # per time step, field name -> raw value: a float (NaN for an empty
+    # cell), a category name, or a multi-valued cell's name -> weight dict
+    steps: list[dict]
     label: int
-    normalized: bool = False    # set by normalize
 
 
 @dataclass
@@ -123,7 +124,7 @@ def _checked_values(fields, row, path, lineno):
         elif kind == 1:
             values[name] = cell
         elif cell == "":
-            values[name] = math.nan   # imputed at normalize time
+            values[name] = math.nan   # imputed by encode
         else:
             try:
                 x = float(cell)
@@ -293,50 +294,8 @@ def _numeric_columns(samples, names):
 
 
 def normalize(sample, schema):
-    """Standardize numerical values and index-encode categorical ones.
-
-    Unseen categories map to the reserved OOV index (appended vocab slot);
-    missing numerical cells are imputed with the training mean.
-    """
-    _check_state([sample], "normalize", normalized=False)
-    steps = []
-    for step in sample.steps:
-        out = {}
-        for f in schema:
-            v = step[f.name]
-            if f.kind == "numerical":
-                if isinstance(v, float) and math.isnan(v):
-                    out[f.name] = 0.0   # mean imputation, then standardized
-                else:
-                    out[f.name] = (v - f.mean) / f.std
-            elif f.multi_valued:
-                probs = [0.0] * len(f.vocab)
-                known = 0.0
-                for name, w in v.items():
-                    try:
-                        probs[f.vocab.index(name)] = w
-                        known += w
-                    except ValueError:
-                        pass
-                if known > 0:
-                    out[f.name] = [p / known for p in probs]
-                else:
-                    out[f.name] = probs
-            else:
-                try:
-                    out[f.name] = f.vocab.index(v)
-                except ValueError:
-                    out[f.name] = f.oov_index
-        steps.append(out)
-    return SequencedSample(sample.entity_id, steps, sample.label, normalized=True)
-
-
-def _check_state(samples, what, normalized):
-    """ValueError unless every sample is normalized, or every one raw."""
-    for s in samples:
-        if s.normalized != normalized:
-            want, got = ("normalized", "raw") if normalized else ("raw", "normalized")
-            raise ValueError(f"{what} takes {want} samples; {s.entity_id!r} is {got}")
+    """Return ``sample``: samples stay raw (``encode`` standardizes); perfbench calls this."""
+    return sample
 
 
 @dataclass
@@ -355,21 +314,6 @@ class EncodedBatch:
         return self.numeric.shape[1]
 
 
-def _columns(samples, schema):
-    """B, T, the [B*T, n_num] numerical values, and (field, its B*T cells) per
-    categorical field; cells are taken step by step in sample order."""
-    B, T = len(samples), len(samples[0].steps)
-    for s in samples:
-        if len(s.steps) != T:
-            raise ValueError(f"every sample in a batch needs {T} steps; "
-                             f"{s.entity_id!r} has {len(s.steps)}")
-    steps = [step for s in samples for step in s.steps]
-    row = _items([f.name for f in schema if f.kind == "numerical"])
-    values = np.array([row(step) for step in steps], dtype=np.float64)
-    return B, T, values, [(f, [step[f.name] for step in steps])
-                          for f in schema if f.kind == "categorical"]
-
-
 def _items(keys):
     """A function giving the tuple of a step's values at ``keys``."""
     if len(keys) == 1:
@@ -378,24 +322,23 @@ def _items(keys):
     return operator.itemgetter(*keys) if keys else lambda step: ()
 
 
-def _batch(values, categorical, B, T):
-    """EncodedBatch from [B*T, n_num] values and [B*T, ...] categorical arrays."""
-    numeric = np.ascontiguousarray(values.T).reshape(-1, B, T)
-    return EncodedBatch(numeric, {name: a.reshape((B, T) + a.shape[1:])
-                                  for name, a in categorical.items()})
-
-
 def encode(samples, schema):
-    """The embedding's input arrays for a batch of *raw* samples, in one pass.
+    """The embedding's input arrays for a batch of raw samples, in one pass.
 
-    Equal, bit for bit, to ``gather`` of the ``normalize``d samples: numerical
-    values are standardized with missing ones at 0, categories take their
-    vocab index (unseen ones the OOV index), and multi-valued weights are
-    renormalized over the known categories.
+    Numbers are standardized, a missing one imputed with the mean (so 0);
+    categories take their vocab index, an unseen one the OOV index; and
+    multi-valued weights are renormalized over the known categories.
     """
-    _check_state(samples, "encode", normalized=False)
-    B, T, raw, columns = _columns(samples, schema)
+    B, T = len(samples), len(samples[0].steps)
+    for s in samples:
+        if len(s.steps) != T:
+            raise ValueError(f"every sample in a batch needs {T} steps; "
+                             f"{s.entity_id!r} has {len(s.steps)}")
+    steps = [step for s in samples for step in s.steps]     # B*T, in sample order
     numeric = [f for f in schema if f.kind == "numerical"]
+    row = _items([f.name for f in numeric])
+    raw = np.array([row(step) for step in steps], dtype=np.float64)
+    columns = [(f, [step[f.name] for step in steps]) for f in schema if f.kind == "categorical"]
     values = ((raw - np.array([f.mean for f in numeric], dtype=np.float64))
               / np.array([f.std for f in numeric], dtype=np.float64))
     values[np.isnan(raw)] = 0.0     # mean imputation, then standardized
@@ -419,21 +362,9 @@ def encode(samples, schema):
             probs[tuple(np.array(at).T)] = weights
         categorical[f.name] = np.divide(probs, known[:, None], out=probs,
                                         where=known[:, None] > 0)
-    return _batch(values, categorical, B, T)
-
-
-def gather(samples, schema):
-    """The embedding's input arrays for a batch of normalized samples; no arithmetic."""
-    _check_state(samples, "gather", normalized=True)
-    B, T, values, columns = _columns(samples, schema)
-    categorical = {}
-    for f, cells in columns:
-        if f.multi_valued:
-            categorical[f.name] = np.zeros((len(cells), len(f.vocab) + 1))
-            categorical[f.name][:, :-1] = cells
-        else:
-            categorical[f.name] = np.array(cells, dtype=np.intp)
-    return _batch(values, categorical, B, T)
+    return EncodedBatch(np.ascontiguousarray(values.T).reshape(-1, B, T),
+                        {name: a.reshape((B, T) + a.shape[1:])
+                         for name, a in categorical.items()})
 
 
 def split(samples, ratio, seed):

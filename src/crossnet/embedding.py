@@ -4,8 +4,7 @@ Categorical fields get a lookup table with one extra OOV row; numerical
 fields get one trainable basis vector each and are embedded by scalar
 multiplication. The result for a sample is the first-rank feature tensor
 of shape [T, n1, d] (batched: [B, T, n1, d]). The input is the arrays of
-``data.EncodedBatch``, whether encoded from raw samples or gathered from
-normalized ones.
+a ``data.EncodedBatch``, which ``data.encode`` builds from raw samples.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param, Tensor
-from .data import EncodedBatch, gather
+from .data import EncodedBatch, encode
 
 
 class EmbeddingLayer:
@@ -49,11 +48,11 @@ class EmbeddingLayer:
     def embed_batch(self, batch):
         """Embed a batch into a [B, T, n1, d] tensor.
 
-        ``batch`` is an EncodedBatch (``data.encode`` of raw samples) or a
-        list of normalized samples, which is gathered into one.
+        ``batch`` is an EncodedBatch or a list of raw samples, which is
+        encoded into one.
         """
         if not isinstance(batch, EncodedBatch):
-            batch = gather(batch, self.schema)
+            batch = encode(batch, self.schema)
         per_field = []
         for f in self.schema:
             if f.kind == "categorical" and f.multi_valued:

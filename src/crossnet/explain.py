@@ -32,15 +32,6 @@ class IndividualExplanation:
     entries: list     # (time_index, channel_index, pattern_str, score), score desc
 
 
-def extract_nonzero(w_pca, epsilon):
-    """(input_channel, output_channel, weight) triples with |weight| > epsilon."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    w = np.asarray(w_pca)
-    ci, co = np.nonzero(np.abs(w) > epsilon)
-    return {(int(c), int(o), float(w[c, o])) for c, o in zip(ci, co)}
-
-
 def channel_multisets(blocks, n1, epsilon):
     """Per rank, per output channel: dict of raw-field-index multiset -> path weight.
 

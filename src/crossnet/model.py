@@ -23,7 +23,7 @@ from .autodiff import Param, Tensor
 from .attention import (FeatureAttentionParams, TemporalAttentionParams,
                         feature_attention, temporal_attention)
 from .crossing import lasso_penalty, make_blocks, run_stack
-from .data import FeatureField, encode
+from .data import FeatureField
 from .embedding import EmbeddingLayer
 
 log = logging.getLogger(__name__)
@@ -209,7 +209,7 @@ class Model:
         return {p.name: p for p in self.params()}
 
     def forward(self, batch):
-        """Full forward pass on a list of normalized samples or an EncodedBatch.
+        """Full forward pass on a list of raw samples or a ``data.EncodedBatch``.
 
         Returns a dict with scores y [B,k], normalized r, attention vectors
         p [B,N] and q [B,T], and the rank stack.
@@ -231,7 +231,7 @@ class Model:
         """
         for start in range(0, len(samples), SCORE_BATCH):
             with ad.no_grad():
-                fwd = self.forward(encode(samples[start:start + SCORE_BATCH], self.schema))
+                fwd = self.forward(samples[start:start + SCORE_BATCH])
             # keep only the four arrays across the yield, not the rank stack
             fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
             yield fwd
@@ -247,18 +247,24 @@ def objective(batch, model, config):
     return loss, fwd
 
 
+def _check_labels(samples, k):
+    """ValueError naming the first sample whose label is outside [0, k)."""
+    for s in samples:
+        if not 0 <= s.label < k:
+            raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
+                             f"outside [0, {k})")
+
+
 def train(train_samples, schema, config, log_every=0):
-    """Seeded minibatch SGD; returns the model and a per-epoch loss trace.
+    """Seeded minibatch SGD on raw samples; returns the model and a per-epoch
+    loss trace.
 
     Trace rows are (epoch, mean_loss, train_acc). Raises TrainingDiverged
     on a NaN loss.
     """
     if not train_samples:
         raise ValueError("training split is empty")
-    for s in train_samples:
-        if not 0 <= s.label < config.k:
-            raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
-                             f"outside [0, {config.k})")
+    _check_labels(train_samples, config.k)
     model = Model(schema, config)
     params = model.params()
     rng = np.random.default_rng(config.seed)
@@ -335,10 +341,7 @@ def evaluate(model, samples):
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    for s in samples:
-        if not 0 <= s.label < model.config.k:
-            raise ValueError(f"entity {s.entity_id!r} has label {s.label}, "
-                             f"outside [0, {model.config.k})")
+    _check_labels(samples, model.config.k)
     y = np.concatenate([out["y"] for out in model.score(samples)])
     return confusion_report(y.argmax(axis=-1), [s.label for s in samples], y[:, 1])
 

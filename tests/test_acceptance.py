@@ -18,7 +18,7 @@ from crossnet.baselines import flatten_samples, lr_predict, lr_train, zscore_rat
 from crossnet.cli import main
 from crossnet.crossing import make_blocks
 from crossnet.data import (SchemaConfig, build_schema, gen_synthetic_interaction,
-                           load_csv, normalize, split, synthetic_schema_config,
+                           load_csv, split, synthetic_schema_config,
                            write_csv)
 from crossnet.explain import backtrack_patterns, individual_explanation
 from crossnet.model import (Model, TrainConfig, auc, confusion_report, evaluate,
@@ -47,10 +47,6 @@ def _dataset(n, T, noise, seed):
     return samples, schema
 
 
-def _normalize_all(samples, schema):
-    return [normalize(s, schema) for s in samples]
-
-
 def test_criterion_01_gradient_correctness(tmp_path, announce):
     cfg = tmp_path / "grad.cfg"
     cfg.write_text("fields = x1, x2, noise0\n"
@@ -70,7 +66,7 @@ def test_criterion_02_planted_interaction(announce):
     schema = build_schema(ds.train, synthetic_schema_config(2, 2))
     cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                       lam=1e-3, lr=0.01, epochs=200, batch_size=8, seed=7)
-    model, _ = train(_normalize_all(ds.train, schema), schema, cfg)
+    model, _ = train(ds.train, schema, cfg)
     acc = evaluate(model, ds.test).acc
 
     lr_accs = []
@@ -100,12 +96,11 @@ def test_criterion_03_loss_limits(announce):
 def test_criterion_04_sparsity_monotone(announce):
     samples, _ = _dataset(200, T=2, noise=2, seed=7)
     schema = build_schema(samples, synthetic_schema_config(2, 2))
-    norm = _normalize_all(samples, schema)
     fractions = []
     for lam in (0.0, 1e-3, 1e-2):
         cfg = TrainConfig(T=2, d=8, rank_widths=(8,), s=1, h=16, k=2, q=0.5,
                           lam=lam, lr=0.01, epochs=30, batch_size=8, seed=7)
-        model, _ = train(norm, schema, cfg)
+        model, _ = train(samples, schema, cfg)
         w = np.concatenate([b.w_pca.data.ravel() for b in model.blocks])
         fractions.append(float((np.abs(w) < 1e-3).mean()))
     ok = (fractions[0] <= fractions[1] <= fractions[2]
@@ -171,7 +166,7 @@ def test_criterion_07_attention_normalization(announce):
     rng = np.random.default_rng(3)
     for p in model.params():        # random weights, not the uniform init
         p.data = rng.normal(scale=0.5, size=p.shape)
-    fwd = model.forward(_normalize_all(samples, schema))
+    fwd = model.forward(samples)
     ok = np.allclose(fwd["p"].data.sum(axis=-1), 1.0, atol=1e-9)
     ok &= np.allclose(fwd["q"].data.sum(axis=-1), 1.0, atol=1e-9)
     for a in fwd["stack"].attentions:
@@ -214,7 +209,7 @@ def test_criterion_10_public_stock_data(announce):
     schema = build_schema(ds.train, sc)
     cfg = TrainConfig(T=5, d=16, rank_widths=(8,), s=3, h=32, k=2, q=0.5,
                       lam=1e-3, lr=0.01, epochs=20, batch_size=32, seed=0)
-    model, _ = train(_normalize_all(ds.train, schema), schema, cfg)
+    model, _ = train(ds.train, schema, cfg)
     model_auc = evaluate(model, ds.test).auc
 
     Xtr = flatten_samples(ds.train, schema)

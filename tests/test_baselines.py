@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from crossnet.baselines import (ALTMAN_COEFFICIENTS, ALTMAN_THRESHOLD,
                                 LrModel, ZScoreModel, flatten_samples,
                                 lr_predict, lr_train, zscore_rate)
-from crossnet.data import FeatureField, SequencedSample, normalize
+from crossnet.data import FeatureField, SequencedSample
+
+from test_data import normalize_ref
 
 
 class TestZScore:
@@ -52,7 +54,7 @@ class TestZScore:
 
 
 def reference_flatten(samples, schema):
-    """flatten_samples as a loop over ``normalize``d samples: the reference."""
+    """flatten_samples as a loop over ``normalize_ref``'d samples: the reference."""
     rows = []
     for s in samples:
         vec = []
@@ -103,12 +105,6 @@ class TestFlattenSamples:
         X = flatten_samples([s], schema)
         np.testing.assert_array_equal(X, [[0.25, 0.75, 0.0]])
 
-    def test_takes_raw_samples(self):
-        schema = [FeatureField("a", "numerical")]
-        s = normalize(SequencedSample("e", [{"a": 1.0}], 0), schema)
-        with pytest.raises(ValueError, match="raw samples"):
-            flatten_samples([s], schema)
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_the_reference_on_normalized_samples(self, data):
@@ -132,7 +128,7 @@ class TestFlattenSamples:
         samples = [SequencedSample(f"e{b}", data.draw(st.lists(step, min_size=T, max_size=T)), 0)
                    for b in range(B)]
         got = flatten_samples(samples, schema)
-        want = reference_flatten([normalize(s, schema) for s in samples], schema)
+        want = reference_flatten([normalize_ref(s, schema) for s in samples], schema)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -1,16 +1,19 @@
 import csv
 import dataclasses
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from crossnet import cli, explain, model
+from crossnet import cli, embedding, explain, model
 from crossnet.cli import ConfigError, main, parse_config
-from crossnet.data import (build_schema, encode, gen_synthetic_interaction, normalize,
+from crossnet.data import (SchemaConfig, build_schema, encode, gen_synthetic_interaction,
                            synthetic_schema_config, write_csv)
 from crossnet.model import TrainConfig
+
+from test_data import gather_ref, normalize_ref
 
 SMALL_CONFIG = """
 # small synthetic run
@@ -331,7 +334,7 @@ class TestExplainCommand:
         def no_split_pass(*args, **kwargs):
             raise AssertionError("explain --entity scored the test split")
 
-        monkeypatch.setattr(model, "encode", counting_encode)
+        monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
         ds = cli._load_split(data_path, parse_config(config_path))
         entity = ds.train[0].entity_id
@@ -397,21 +400,15 @@ class TestScoringHoldsOneBatch:
             log.append(("forward", len(batch)))
             return forward(self, batch)
 
-        for module in (cli, model, explain):
-            monkeypatch.setattr(module, "encode", counting_encode, raising=False)
+        monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
         return log
 
     def assert_one_batch_at_a_time(self, log, n_samples):
-        batches, pending = [], 0
-        for event, n in log:
-            if event == "encode":
-                pending += n
-            else:
-                assert pending == n <= 256
-                batches.append(n)
-                pending = 0
-        assert pending == 0 and sum(batches) == n_samples and len(batches) > 1
+        # each forward pass encodes its own batch, and nothing else is encoded
+        sizes = [n for _, n in log[::2]]
+        assert log == [(event, n) for n in sizes for event in ("forward", "encode")]
+        assert max(sizes) <= 256 and sum(sizes) == n_samples and len(sizes) > 1
 
     def test_eval(self, config_path, portfolio, events, capsys):
         data, ckpt, ds = portfolio
@@ -433,8 +430,8 @@ class TestScoringHoldsOneBatch:
         _, ckpt, ds = portfolio
         m = model.load_checkpoint(ckpt)
         samples = ds.train + ds.test
-        norm = [normalize(s, m.schema) for s in samples]
-        y = np.concatenate([m.forward(norm[i:i + 256])["y"].data
+        norm = [normalize_ref(s, m.schema) for s in samples]
+        y = np.concatenate([m.forward(gather_ref(norm[i:i + 256], m.schema))["y"].data
                             for i in range(0, len(norm), 256)])
         assert model.evaluate(m, samples) == model.confusion_report(
             y.argmax(axis=-1), [s.label for s in samples], y[:, 1])
@@ -481,6 +478,21 @@ class TestBaselineCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "is not a listed numerical field" in err
+
+    def test_zscore_refuses_an_empty_cell(self, tmp_path, capsys):
+        samples = gen_synthetic_interaction(10, T=2, noise_fields=1, seed=0)
+        for s in samples[::2]:
+            s.steps[-1]["x1"] = math.nan
+        data = tmp_path / "gaps.csv"
+        write_csv(samples, data, synthetic_schema_config(1, 2))
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(SMALL_CONFIG + "zscore_fields = x1, x2, noise0, x1, x2\n")
+        rc = main(["baseline", "--data", str(data), "--config", str(cfg),
+                   "--which", "zscore"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.search(r"entity 's0000[02468]' has an empty 'x1' cell", err), err
+        assert "Traceback" not in err
 
     def test_zscore_runs_with_fields(self, tmp_path, data_path, capsys):
         cfg = tmp_path / "z.cfg"
@@ -595,3 +607,58 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert f"{ckpt} has a malformed header: d must be >= 1" in err
         assert "Traceback" not in err
+
+
+class TestCheckpointAgainstConfig:
+    """eval and explain refuse a config that reads the data otherwise than the
+    checkpoint's schema embeds it."""
+
+    FIELDS = "fields = x1, x2, noise0, sector, segments\n"
+    KINDS = "categorical = sector, segments\nmulti_valued = segments\n"
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)
+        for i, s in enumerate(samples):
+            for step in s.steps:
+                step["sector"] = "ab"[i % 2]
+                step["segments"] = {"p": 0.5, "q": 0.5} if i % 3 else {"q": 1.0}
+        data = tmp_path / "data.csv"
+        write_csv(samples, data, SchemaConfig(fields=["x1", "x2", "noise0", "sector",
+                                                      "segments"], time_span=2))
+        config = SMALL_CONFIG.replace("fields = x1, x2, noise0\n", self.FIELDS + self.KINDS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        return data, ckpt, config
+
+    COMMANDS = {"eval": ["eval"], "static": ["explain", "--static"],
+                "entity": ["explain", "--entity", "s00000"]}
+    MISMATCHES = {
+        "missing": ((FIELDS, "fields = x1, x2, sector, segments\n"),
+                    "embeds field 'noise0', which the config does not list"),
+        "T": (("T = 2\n", "T = 3\n"), "the config's T = 3 but .* with T = 2"),
+        "numerical": ((KINDS, "categorical = segments\nmulti_valued = segments\n"),
+                      "field 'sector' as categorical, but the config lists it as numerical"),
+        "single": ((KINDS, "categorical = sector, segments\n"),
+                   "field 'segments' as multi-valued, but the config lists it as categorical"),
+    }
+
+    @pytest.mark.parametrize("mismatch", MISMATCHES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_mismatch_exits_one_naming_it(self, tmp_path, setup, capsys, command,
+                                            mismatch):
+        data, ckpt, config = setup
+        (old, new), message = self.MISMATCHES[mismatch]
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(config.replace(old, new))
+        argv = self.COMMANDS[command]
+        rc = main(argv[:1] + ["--data", str(data), "--model", str(ckpt), "--config", str(cfg)]
+                  + (["--out", str(tmp_path / "expl")] + argv[1:] if argv[1:] else []))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "expl").exists()

@@ -15,8 +15,7 @@ from crossnet.crossing import (CrossingBlock, cross_attention, cross_block,
                                cross_product, lasso_penalty, make_blocks,
                                pca_select, residual_scale, run_stack,
                                temporal_aggregate)
-from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
-                           synthetic_schema_config)
+from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_schema_config
 from crossnet.model import Model, TrainConfig
 
 
@@ -421,11 +420,11 @@ class TestRunStack:
 
 
 def scoring_setup(B, T, noise, d, widths, seed):
-    """A seeded model and B normalized samples (schema fitted on 8 more)."""
+    """A seeded model and B raw samples (schema fitted on 8 more)."""
     raw = gen_synthetic_interaction(B + 8, T, noise, seed=seed)
     schema = build_schema(raw, synthetic_schema_config(noise, T))
     config = TrainConfig(T=T, d=d, rank_widths=widths, s=1, h=5, k=2, seed=seed)
-    return Model(schema, config), [normalize(s, schema) for s in raw[:B]]
+    return Model(schema, config), raw[:B]
 
 
 def block1_step(T, noise, d):

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crossnet.data import (DataError, FeatureField, SchemaConfig, SequencedSample,
-                           build_schema, encode, gather, gen_synthetic_interaction,
+from crossnet.data import (DataError, EncodedBatch, FeatureField, SchemaConfig,
+                           SequencedSample, build_schema, encode, gen_synthetic_interaction,
                            load_csv, normalize, split, synthetic_schema_config, write_csv)
 
 
@@ -302,35 +302,85 @@ class TestBuildSchema:
             build_schema([], basic_config)
 
 
+def normalize_ref(sample, schema):
+    """The per-cell normalization that ``encode`` replaced: the reference.
+
+    Numbers are standardized, a missing one imputed with the mean (0);
+    a category becomes its vocab index, an unseen one the OOV index; a
+    multi-valued cell becomes its V weights renormalized over the known
+    names (all 0 when none is known).
+    """
+    steps = []
+    for step in sample.steps:
+        out = {}
+        for f in schema:
+            v = step[f.name]
+            if f.kind == "numerical":
+                if isinstance(v, float) and math.isnan(v):
+                    out[f.name] = 0.0
+                else:
+                    out[f.name] = (v - f.mean) / f.std
+            elif f.multi_valued:
+                probs = [0.0] * len(f.vocab)
+                known = 0.0
+                for name, w in v.items():
+                    if name in f.vocab:
+                        probs[f.vocab.index(name)] = w
+                        known += w
+                out[f.name] = [p / known for p in probs] if known > 0 else probs
+            else:
+                out[f.name] = f.vocab.index(v) if v in f.vocab else f.oov_index
+        steps.append(out)
+    return SequencedSample(sample.entity_id, steps, sample.label)
+
+
+def gather_ref(samples, schema):
+    """The EncodedBatch of ``normalize_ref``'d samples, read cell by cell: the reference."""
+    B, T = len(samples), len(samples[0].steps)
+
+    def cells(f):
+        return [[s.steps[t][f.name] for t in range(T)] for s in samples]
+
+    numeric = np.array([cells(f) for f in schema if f.kind == "numerical"],
+                       dtype=np.float64).reshape(-1, B, T)
+    categorical = {}
+    for f in schema:
+        if f.kind == "categorical" and f.multi_valued:
+            categorical[f.name] = np.zeros((B, T, len(f.vocab) + 1))
+            categorical[f.name][:, :, :-1] = cells(f)
+        elif f.kind == "categorical":
+            categorical[f.name] = np.array(cells(f), dtype=np.intp)
+    return EncodedBatch(numeric, categorical)
+
+
 class TestNormalize:
+    """Standardization and vocab lookup, as ``encode`` does them."""
+
     def make(self):
         cfg = SchemaConfig(fields=["x", "c"], categorical={"c"}, time_span=2)
         train = [SequencedSample("a", [{"x": 1.0, "c": "p"}, {"x": 3.0, "c": "q"}], 0)]
         return cfg, build_schema(train, cfg), train
 
     def test_mean_maps_to_zero(self):
-        _, schema, train = self.make()
-        out = normalize(train[0], schema)
-        f = schema[0]
-        assert normalize(SequencedSample("z", [{"x": f.mean, "c": "p"}], 0),
-                         schema).steps[0]["x"] == 0.0
-        assert out.steps[0]["c"] == 0
+        _, schema, _ = self.make()
+        out = encode([SequencedSample("z", [{"x": schema[0].mean, "c": "p"}], 0)], schema)
+        assert out.numeric[0, 0, 0] == 0.0
+        assert out.categorical["c"][0, 0] == 0
 
     def test_mean_plus_std_maps_to_one(self):
         _, schema, _ = self.make()
         f = schema[0]
         s = SequencedSample("z", [{"x": f.mean + f.std, "c": "q"}], 0)
-        assert normalize(s, schema).steps[0]["x"] == pytest.approx(1.0)
+        assert encode([s], schema).numeric[0, 0, 0] == pytest.approx(1.0)
 
     def test_unseen_category_maps_to_oov(self):
         _, schema, _ = self.make()
         s = SequencedSample("z", [{"x": 0.0, "c": "zz"}], 0)
-        assert normalize(s, schema).steps[0]["c"] == schema[1].oov_index == 2
+        assert encode([s], schema).categorical["c"][0, 0] == schema[1].oov_index == 2
 
-    def test_a_normalized_sample_is_rejected(self):
+    def test_normalize_returns_its_argument(self):
         _, schema, train = self.make()
-        with pytest.raises(ValueError, match="raw samples"):
-            normalize(normalize(train[0], schema), schema)
+        assert normalize(train[0], schema) is train[0]
 
     def test_train_split_standardized(self):
         rng = np.random.default_rng(0)
@@ -339,7 +389,7 @@ class TestNormalize:
                                  [{"x": float(v)} for v in rng.normal(5, 3, 4)], 0)
                  for i in range(20)]
         schema = build_schema(train, cfg)
-        vals = np.array([st["x"] for s in train for st in normalize(s, schema).steps])
+        vals = encode(train, schema).numeric.ravel()
         assert abs(vals.mean()) <= 1e-9
         assert abs(vals.std(ddof=1) - 1.0) <= 1e-9
 
@@ -348,7 +398,7 @@ _VOCAB = st.lists(_NAMES, min_size=1, max_size=4, unique=True).map(sorted)
 
 
 @st.composite
-def _encoding_cases(draw):
+def encoding_cases(draw):
     """A schema of two numerical, a categorical and a multi-valued field, and a
     batch of raw samples: missing numbers, unseen categories, and multi-valued
     cells with unseen names or no known mass all occur."""
@@ -372,35 +422,44 @@ def _encoding_cases(draw):
     return schema, samples
 
 
-class TestEncode:
-    """encode of raw samples is gather of their normalized copies, bit for bit."""
+# a missing number, an unseen category and a multi-valued cell of unseen names only
+SPECIAL_CELLS = ([FeatureField("x", "numerical", mean=1.0, std=2.0),
+                  FeatureField("c", "categorical", vocab=["p", "q"]),
+                  FeatureField("m", "categorical", vocab=["p", "q"], multi_valued=True)],
+                 [SequencedSample("e", [{"x": math.nan, "c": "zz", "m": {"zz": 1.0}},
+                                        {"x": 1.0, "c": "q", "m": {"p": 0.0, "zz": 2.0}},
+                                        {"x": 5.0, "c": "p",
+                                         "m": {"q": 3.0, "p": 1.0, "zz": 4.0}}], 0)])
 
-    @staticmethod
-    def assert_same_arrays(got, want):
-        pairs = [(got.numeric, want.numeric)] + [
-            (got.categorical[k], want.categorical[k]) for k in want.categorical]
-        assert list(got.categorical) == list(want.categorical)
-        for g, w in pairs:
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+def assert_same_arrays(got, want):
+    """Two EncodedBatches hold the same fields and arrays, bit for bit."""
+    pairs = [(got.numeric, want.numeric)] + [
+        (got.categorical[k], want.categorical[k]) for k in want.categorical]
+    assert list(got.categorical) == list(want.categorical)
+    for g, w in pairs:
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+class TestEncode:
+    """encode of raw samples is the reference's gather of their normalized copies,
+    bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_encoding_cases())
+    @given(encoding_cases())
+    @example(SPECIAL_CELLS)
     def test_encode_is_gather_of_normalize(self, case):
         schema, samples = case
-        self.assert_same_arrays(encode(samples, schema),
-                                gather([normalize(s, schema) for s in samples], schema))
+        assert_same_arrays(encode(samples, schema),
+                           gather_ref([normalize_ref(s, schema) for s in samples], schema))
 
     def test_cells_that_normalize_specially(self):
-        schema = [FeatureField("x", "numerical", mean=1.0, std=2.0),
-                  FeatureField("m", "categorical", vocab=["p", "q"], multi_valued=True)]
-        steps = [{"x": math.nan, "m": {"zz": 1.0}}, {"x": 1.0, "m": {"p": 0.0, "zz": 2.0}},
-                 {"x": 5.0, "m": {"q": 3.0, "p": 1.0, "zz": 4.0}}]
-        got = encode([SequencedSample("e", steps, 0)], schema)
+        schema, samples = SPECIAL_CELLS
+        got = encode(samples, schema)
         assert got.numeric.tolist() == [[[0.0, 0.0, 2.0]]]
+        assert got.categorical["c"].tolist() == [[2, 1, 0]]
         assert got.categorical["m"].tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                                                   [0.25, 0.75, 0.0]]]
-        self.assert_same_arrays(got, gather([normalize(SequencedSample("e", steps, 0),
-                                                       schema)], schema))
 
     def test_mixed_step_counts_are_refused(self):
         # 3 + 2 + 4 steps make B * T = 9, but no entity's steps may run into the next
@@ -409,16 +468,6 @@ class TestEncode:
                    for i, T in enumerate([3, 2, 4])]
         with pytest.raises(ValueError, match="'e1' has 2"):
             encode(samples, schema)
-        with pytest.raises(ValueError, match="'e1' has 2"):
-            gather([normalize(s, schema) for s in samples], schema)
-
-    def test_each_front_end_takes_its_own_samples(self):
-        schema = [FeatureField("x", "numerical", mean=0.0, std=1.0)]
-        raw = SequencedSample("e", [{"x": 1.0}], 0)
-        with pytest.raises(ValueError, match="gather takes normalized samples"):
-            gather([raw], schema)
-        with pytest.raises(ValueError, match="encode takes raw samples"):
-            encode([normalize(raw, schema)], schema)
 
 
 class TestSplit:

