@@ -291,13 +291,16 @@ def slice_axis(a, axis, start, stop):
 def gather_rows(a, indices):
     """Select rows of a 2-d tensor by an integer index array.
 
-    Output shape is ``indices.shape + (a.shape[1],)``; gradient scatters
-    back with accumulation, so repeated indices are handled correctly.
+    Every index must be in [0, rows): a negative one raises IndexError, as a
+    too-large one does, rather than counting from the end. Output shape is
+    ``indices.shape + (a.shape[1],)``; gradient scatters back with
+    accumulation, so repeated indices are handled correctly.
     """
     a = _as_tensor(a)
     indices = np.asarray(indices, dtype=np.intp)
-    if indices.size and indices.max() >= a.shape[0]:
-        raise IndexError(f"row index {indices.max()} out of range for {a.shape}")
+    bad = indices[(indices < 0) | (indices >= a.shape[0])]
+    if bad.size:
+        raise IndexError(f"row index {bad[0]} out of range for {a.shape}")
     out = Tensor(a.data[indices], (a,))
 
     def _bw(g, acc):

@@ -103,6 +103,9 @@ def pca_select(crossed, w_pca):
 
 # samples per cross_block chunk are chosen so one chunk of L stays in cache
 _CHUNK_BYTES = 1 << 20
+# blocks with at least this many crossed channels n_prev·n1 run the sign-split
+# forward; below it, building L is faster (measured: they meet near 100)
+_SPLIT_CHANNELS = 128
 
 
 def _lrelu_cross(xp, x1, L, tmp):
@@ -120,6 +123,43 @@ def _lrelu_cross(xp, x1, L, tmp):
     return Lc.reshape(n, R, -1)
 
 
+def _sign_split_mix(xp, x1, scale, w_pca):
+    """L_b W_b of ``cross_block`` without building L or W_b, as [B, R, c_o].
+
+    lrelu(x·y) = max(x, 0)·lrelu(y) + min(x, 0)·min(y, 0.1·y), so with
+    F = [lrelu(x1); min(x1, 0.1·x1)] and P = [max(xp, 0); min(xp, 0)] stacked
+    per row, mixed[r, o] = Σ_(s,m) P[r, s, m] · (F W)[r, s, m, o], where
+    W[k, (m, o)] = (1 + a_mk)·w_pca[m·n1 + k, o]. Each chunk of samples is one
+    batched GEMM of F against W and one row-wise contraction with P; chunks
+    hold about ``_CHUNK_BYTES`` of F W.
+    """
+    B, R, n_prev = xp.shape
+    n1 = x1.shape[2]
+    c_o = w_pca.shape[1]
+    w = w_pca.reshape(n_prev, n1, c_o).transpose(1, 0, 2)          # [n1, n_prev, c_o]
+    s = scale.reshape(B, n_prev, n1, 1).transpose(0, 2, 1, 3)      # [B, n1, n_prev, 1]
+    step = max(1, _CHUNK_BYTES // (16 * R * n_prev * c_o))
+    n = min(step, B)
+    W = np.empty((n, n1, n_prev, c_o))
+    F = np.empty((n, R, 2, n1))
+    P = np.empty((n, R, 2, n_prev))
+    FW = np.empty((n, R, 2 * n_prev, c_o))
+    mixed = np.empty((B, R, 1, c_o))
+    for start in range(0, B, step):
+        cs = slice(start, min(start + step, B))
+        n = cs.stop - start
+        np.multiply(s[cs], w, out=W[:n])
+        np.multiply(x1[cs], 0.1, out=F[:n, :, 1])
+        np.maximum(x1[cs], F[:n, :, 1], out=F[:n, :, 0])
+        np.minimum(x1[cs], F[:n, :, 1], out=F[:n, :, 1])
+        np.maximum(xp[cs], 0.0, out=P[:n, :, 0])
+        np.minimum(xp[cs], 0.0, out=P[:n, :, 1])
+        np.matmul(F[:n].reshape(n, 2 * R, n1), W[:n].reshape(n, n1, n_prev * c_o),
+                  out=FW[:n].reshape(n, 2 * R, n_prev * c_o))
+        np.matmul(P[:n].reshape(n, R, 1, 2 * n_prev), FW[:n], out=mixed[cs])
+    return mixed.reshape(B, R, c_o)
+
+
 def cross_block(X1, Xprev, a, w_pca):
     """``pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)`` as one node.
 
@@ -129,12 +169,19 @@ def cross_block(X1, Xprev, a, w_pca):
     so 1 + a > 0 and lrelu((1+a)·x) = (1+a)·lrelu(x): the attention scale folds
     into a per-sample weight W_b = diag(1 + a_b)·w_pca, and the block is
     L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b, with lrelu'(0) = 0.1
-    as in ``ad.leaky_relu``. Samples are taken in chunks of about
-    ``_CHUNK_BYTES`` of L, so each pass over a chunk runs from cache, and L is
-    never held whole: each chunk is written to one reused scratch buffer, and
-    backward recomputes it there with the same operations, so bit for bit.
-    Backward then lets go of the node's saved arrays, so it runs once per
-    graph; a second backward through the node raises ValueError.
+    as in ``ad.leaky_relu``.
+
+    Below ``_SPLIT_CHANNELS`` crossed channels the forward builds L: samples
+    are taken in chunks of about ``_CHUNK_BYTES`` of L, so each pass over a
+    chunk runs from cache, and L is never held whole: each chunk is written
+    to one reused scratch buffer. From ``_SPLIT_CHANNELS`` on, the forward is
+    ``_sign_split_mix``, which builds neither L nor W_b; the kernel depends
+    on the shape alone, so a forward under ``no_grad`` is bit-identical to
+    one in grad mode. Backward is the same for both: it recomputes each chunk
+    of L in the chunk buffer with ``_lrelu_cross``, as the L forward does, so
+    bit for bit with storing L, and then lets go of the node's saved arrays,
+    so it runs once per graph; a second backward through the node raises
+    ValueError.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -146,17 +193,24 @@ def cross_block(X1, Xprev, a, w_pca):
     x1 = np.ascontiguousarray(X1.data.transpose(0, 1, 3, 2)).reshape(B, R, n1)
     xp = np.ascontiguousarray(Xprev.data.transpose(0, 1, 3, 2)).reshape(B, R, n_prev)
     scale = 1.0 + a.data.reshape(B, c_i, 1)
-    W_b = scale * w_pca.data                                   # [B, c_i, c_o]
     step = max(1, _CHUNK_BYTES // (8 * R * c_i))
     chunks = [slice(s, min(s + step, B)) for s in range(0, B, step)]
-    L = np.empty((min(step, B), R, n_prev, n1))
-    mixed = np.empty((B, R, c_o))
-    tmp = np.empty_like(L)      # after the output: freed on return, it leaves no heap hole
-    for cs in chunks:
-        np.matmul(_lrelu_cross(xp[cs], x1[cs], L, tmp), W_b[cs], out=mixed[cs])
+    if c_i < _SPLIT_CHANNELS:
+        W_b = scale * w_pca.data                               # [B, c_i, c_o]
+        L = np.empty((min(step, B), R, n_prev, n1))
+        mixed = np.empty((B, R, c_o))
+        tmp = np.empty_like(L)  # after the output: freed on return, it leaves no heap hole
+        for cs in chunks:
+            np.matmul(_lrelu_cross(xp[cs], x1[cs], L, tmp), W_b[cs], out=mixed[cs])
+    else:
+        mixed = _sign_split_mix(xp, x1, scale, w_pca.data)
+        W_b = L = None
     out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
     if not ad.grad_enabled():
         return out
+    if L is None:               # the sign-split forward left these to backward
+        W_b = scale * w_pca.data
+        L = np.empty((min(step, B), R, n_prev, n1))
 
     def _bw(g, acc):
         nonlocal xp, x1, W_b, scale, L

@@ -349,19 +349,21 @@ def encode(samples, schema):
             oov = f.oov_index
             categorical[f.name] = np.array([index.get(v, oov) for v in cells], dtype=np.intp)
             continue
-        at, weights, known = [], [], np.zeros(len(cells))
+        rows, cols, weights, known = [], [], [], []
         for i, cell in enumerate(cells):
+            total = 0.0
             for name, w in cell.items():
                 j = index.get(name)
                 if j is not None:
-                    at.append((i, j))
+                    rows.append(i)
+                    cols.append(j)
                     weights.append(w)
-                    known[i] += w
+                    total += w
+            known.append(total)
         probs = np.zeros((len(cells), len(f.vocab) + 1))
-        if at:
-            probs[tuple(np.array(at).T)] = weights
-        categorical[f.name] = np.divide(probs, known[:, None], out=probs,
-                                        where=known[:, None] > 0)
+        probs[rows, cols] = weights
+        known = np.array(known)[:, None]
+        categorical[f.name] = np.divide(probs, known, out=probs, where=known > 0)
     return EncodedBatch(np.ascontiguousarray(values.T).reshape(-1, B, T),
                         {name: a.reshape((B, T) + a.shape[1:])
                          for name, a in categorical.items()})

@@ -29,7 +29,7 @@ from .embedding import EmbeddingLayer
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DCRS1"
-SCORE_BATCH = 256   # samples per forward pass when scoring
+SCORE_BYTES = 1 << 20   # bytes of the [B, T, N, d] stack per forward pass when scoring
 
 
 class TrainingDiverged(RuntimeError):
@@ -222,16 +222,22 @@ class Model:
         y, r = predict(h_last, self.out)
         return {"y": y, "r": r, "p": p, "q": q, "stack": stack}
 
+    @property
+    def score_batch(self):
+        """Samples per ``score`` batch: about SCORE_BYTES of the [B, T, N, d] stack."""
+        return max(1, SCORE_BYTES // (8 * self.config.T * self.N * self.config.d))
+
     def score(self, samples):
-        """Score raw samples forward-only, SCORE_BATCH at a time.
+        """Score raw samples forward-only, ``score_batch`` at a time.
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
         batch, in order. ``no_grad`` ends before each yield, so it is never
         held while the caller runs.
         """
-        for start in range(0, len(samples), SCORE_BATCH):
+        size = self.score_batch
+        for start in range(0, len(samples), size):
             with ad.no_grad():
-                fwd = self.forward(samples[start:start + SCORE_BATCH])
+                fwd = self.forward(samples[start:start + size])
             # keep only the four arrays across the yield, not the rank stack
             fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
             yield fwd

@@ -372,8 +372,10 @@ class TestScoringHoldsOneBatch:
     """eval and explain encode each batch when they take it."""
 
     @pytest.fixture
-    def portfolio(self, tmp_path, config_path):
-        # 700 entities: eval --all takes three batches of at most 256
+    def portfolio(self, tmp_path, config_path, monkeypatch):
+        # a stack of T=2, N=6 and d=4 is 384 bytes a sample; with 256 samples'
+        # worth a batch, 700 entities make eval --all take three batches
+        monkeypatch.setattr(model, "SCORE_BYTES", 256 * 384)
         samples = gen_synthetic_interaction(700, T=2, noise_fields=1, seed=1)
         data = tmp_path / "big.csv"
         write_csv(samples, data, synthetic_schema_config(1, 2))
@@ -381,7 +383,9 @@ class TestScoringHoldsOneBatch:
         ds = cli._load_split(data, cfg)
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(ds.train, cfg.schema_config())
-        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
+        m = model.Model(schema, cfg.train)
+        assert m.score_batch == 256
+        model.save_checkpoint(m, ckpt)
         return data, ckpt, ds
 
     @pytest.fixture

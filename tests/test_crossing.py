@@ -200,6 +200,8 @@ class TestCrossBlock:
         (2, 2, 3, 2, 1, 2, 1 << 20),   # d = 1
         (2, 2, 2, 3, 2, 1, 1 << 20),   # c_o = 1
         (3, 2, 2, 3, 2, 2, 8),         # one sample per chunk
+        (2, 2, 16, 8, 2, 3, 1 << 20),  # c_i = 128: the sign-split forward
+        (3, 1, 13, 10, 2, 2, 8),       # c_i = 130, one sample per chunk
     ])
     def test_grad_check(self, B, T, n1, n_prev, d, c_o, chunk):
         params = block_inputs(B, T, n1, n_prev, d, c_o, seed=B + 10 * n_prev + c_o)
@@ -253,6 +255,22 @@ class TestCrossBlock:
         assert_matches_chain(params, draw((B, T, c_o, d)),
                              data.draw(st.sampled_from([8, 1 << 20])))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_both_kernels_match_chain_with_exact_zeros(self, data):
+        # crossed-channel counts on both sides of the crossover, inputs with
+        # exact zeros (a missing number embeds to a zero vector) and -0.0
+        assert crossing._SPLIT_CHANNELS == 128
+        n_prev, n1 = data.draw(st.sampled_from(
+            [(1, 1), (3, 4), (8, 8), (11, 11), (10, 12), (16, 8), (8, 16), (12, 12), (5, 26)]))
+        B, T, d, c_o = (data.draw(st.integers(1, 3)) for _ in range(4))
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=data.draw(st.integers(0, 2**16)))
+        for p in params[:2]:
+            zero = data.draw(hnp.arrays(np.bool_, p.data.shape))
+            p.data[zero] = data.draw(st.sampled_from([0.0, -0.0]))
+        R = np.random.default_rng(n_prev).normal(size=(B, T, c_o, d))
+        assert_matches_chain(params, R, data.draw(st.sampled_from([8, 1 << 20])))
+
     def test_grad_mode_forward_keeps_under_two_chunks_of_products(self):
         B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
         params = block_inputs(B, T, n1, n_prev, d, c_o, seed=7)
@@ -272,6 +290,26 @@ class TestCrossBlock:
         inputs = X1.data.nbytes + Xprev.data.nbytes + a.data.nbytes * (1 + c_o)
         assert B * T * d * n_prev * n1 * 8 == 8 * chunk
         assert kept - out.data.nbytes - inputs < 2 * chunk
+
+    def test_sign_split_scoring_builds_no_per_sample_weights(self):
+        B, T, n1, n_prev, d, c_o = 64, 2, 16, 16, 4, 16
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=10)
+        w_b = 8 * B * n_prev * n1 * c_o             # (1 + a)·w_pca per sample: 2 MB
+        chunk = 2 * 16 * T * d * n_prev * c_o       # two samples of the stacked F W
+
+        def peak(mode):
+            gc.collect()
+            with chunk_bytes(chunk), mode:
+                tracemalloc.start()
+                try:
+                    cross_block(*params)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert n_prev * n1 >= crossing._SPLIT_CHANNELS
+        # grad mode makes W_b for backward; scoring needs about a quarter of it
+        assert peak(contextlib.nullcontext()) > w_b > 2 * peak(ad.no_grad())
 
     def test_graph_after_backward_keeps_under_one_chunk_beyond_the_output(self):
         B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
@@ -444,9 +482,12 @@ def assert_forward_matches_grad_mode(model, samples):
 
 
 class TestNoGradForward:
+    # noise 9 and 10 make n1 = 11 and 12, so a first block of 121 or 144
+    # crossed channels, and widths (12, 3) a second block of 12·n1: both
+    # sides of the crossover at 128
     @settings(max_examples=40, deadline=None)
-    @given(T=st.integers(1, 3), noise=st.integers(0, 2), d=st.integers(1, 4),
-           widths=st.sampled_from([(2,), (3, 2)]), step=st.integers(1, 3),
+    @given(T=st.integers(1, 3), noise=st.sampled_from([0, 1, 2, 9, 10]), d=st.integers(1, 4),
+           widths=st.sampled_from([(2,), (3, 2), (12, 3)]), step=st.integers(1, 3),
            past_step=st.booleans(), seed=st.integers(0, 2**16))
     def test_bit_identical_to_grad_mode(self, T, noise, d, widths, step, past_step, seed):
         # B = 1, or one past the first block's chunk step so its last chunk is partial

@@ -431,6 +431,16 @@ SPECIAL_CELLS = ([FeatureField("x", "numerical", mean=1.0, std=2.0),
                                         {"x": 5.0, "c": "p",
                                          "m": {"q": 3.0, "p": 1.0, "zz": 4.0}}], 0)])
 
+# multi-valued cells of several known and unknown names, in both orders, whose
+# known weights sum with rounding (0.1 + 0.2 + 0.7), across two samples
+MANY_NAMES = ([FeatureField("x", "numerical", mean=0.0, std=1.0),
+               FeatureField("m", "categorical", vocab=["p", "q", "r", "s"], multi_valued=True)],
+              [SequencedSample("e", [{"x": 1.0, "m": {"p": 0.1, "zz": 5.0, "q": 0.2, "r": 0.7}},
+                                     {"x": 2.0, "m": {"yy": 1.0, "s": 3.0, "zz": 2.0, "p": 1e-300}}],
+                               0),
+               SequencedSample("f", [{"x": 3.0, "m": {"r": 0.7, "q": 0.2, "p": 0.1, "yy": 0.5}},
+                                     {"x": 4.0, "m": {"zz": 1.0, "yy": 2.0}}], 1)])
+
 
 def assert_same_arrays(got, want):
     """Two EncodedBatches hold the same fields and arrays, bit for bit."""
@@ -448,6 +458,7 @@ class TestEncode:
     @settings(max_examples=200, deadline=None)
     @given(encoding_cases())
     @example(SPECIAL_CELLS)
+    @example(MANY_NAMES)
     def test_encode_is_gather_of_normalize(self, case):
         schema, samples = case
         assert_same_arrays(encode(samples, schema),

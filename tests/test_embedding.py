@@ -79,6 +79,13 @@ class TestEmbedCategorical:
         with pytest.raises(IndexError):
             layer.embed_batch(batch)
 
+    def test_negative_index_is_out_of_range(self):
+        # -1 would otherwise read the last row of the table, the OOV row
+        layer = categorical_layer(np.zeros((3, 2)))
+        batch = EncodedBatch(np.zeros((0, 1, 2)), {"c": np.array([[0, -1]], dtype=np.intp)})
+        with pytest.raises(IndexError, match="row index -1 out of range"):
+            layer.embed_batch(batch)
+
 
 class TestEmbedNumerical:
     def test_scaling(self):

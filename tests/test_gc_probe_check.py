@@ -56,3 +56,18 @@ def test_placement_is_the_places_not_the_counts(tool):
     assert tool.placement(result(44, 0)) == tool.placement(result(45, 0)) == {"probe"}
     assert tool.placement(result(44, 0)) != tool.placement(result(0, 44))
     assert tool.placement(result(44, 0)) != tool.placement(result(43, 1))
+
+
+@pytest.mark.parametrize("parent, change, differ", [
+    ((0.52, 0.53), (0.52, 0.53), []),
+    ((0.525, 0.531), (0.931, 0.926), ["setup_factor", "tape_factor"]),   # a moved probe
+    ((0.5, 0.8), (0.65, 0.8), []),                  # 1.3 exactly is still within
+    ((0.5, 0.8), (0.66, 0.8), ["setup_factor"]),
+    ((0.5, 0.8), (0.5, 0.6), ["tape_factor"]),      # either side may be the larger
+])
+def test_factors_differ_beyond_the_ratio(tool, parent, change, differ):
+    def result(factors):
+        return dict(zip(("setup_factor", "tape_factor"), factors))
+
+    assert tool.FACTOR_RATIO == 1.3
+    assert tool.factors_differ(result(parent), result(change)) == differ

@@ -10,7 +10,7 @@ from crossnet import autodiff as ad
 from crossnet.autodiff import Tensor
 from crossnet.crossing import lasso_penalty
 from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_schema_config
-from crossnet.model import (SCORE_BATCH, GruParams, Model, OutputParams, TrainConfig,
+from crossnet.model import (SCORE_BYTES, GruParams, Model, OutputParams, TrainConfig,
                             auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
                             save_checkpoint, time_concat, train)
@@ -183,23 +183,40 @@ class TestForwardInput:
 class TestScore:
     """Model.score: forward-only batches of raw samples, grad mode restored at each yield."""
 
+    def scoring_model(self, T, noise, **kw):
+        """A model on synthetic fields, and a full scoring batch of samples plus 10."""
+        probe = gen_synthetic_interaction(8, T, noise, seed=0)
+        model = Model(build_schema(probe, synthetic_schema_config(noise, T)),
+                      small_config(T=T, **kw))
+        return model, gen_synthetic_interaction(model.score_batch + 10, T, noise, seed=0)
+
     @pytest.fixture
     def scored(self):
-        samples = gen_synthetic_interaction(SCORE_BATCH + 10, 2, 1, seed=0)
-        schema = build_schema(samples, synthetic_schema_config(1, 2))
-        return Model(schema, small_config()), samples
+        return self.scoring_model(2, 1)
 
-    def test_batches_match_forward_on_normalized_samples(self, scored):
-        model, samples = scored
+    def assert_batches_match_forward(self, model, samples):
+        size = model.score_batch
         got = list(model.score(samples))
-        assert [len(out["y"]) for out in got] == [SCORE_BATCH, 10]
-        for out, start in zip(got, (0, SCORE_BATCH)):
-            batch = samples[start:start + SCORE_BATCH]
+        assert [len(out["y"]) for out in got] == [size, 10]
+        for out, start in zip(got, (0, size)):
+            batch = samples[start:start + size]
             fwd = model.forward(gather_ref([normalize_ref(s, model.schema) for s in batch],
                                            model.schema))
             assert sorted(out) == ["p", "q", "r", "y"]
             for k, v in out.items():
                 np.testing.assert_array_equal(v, fwd[k].data)
+
+    def test_batches_match_forward_on_normalized_samples(self, scored):
+        model, samples = scored
+        # T=2, N=6, d=4: 384 bytes of the stack a sample
+        assert model.score_batch == SCORE_BYTES // 384 > 256
+        self.assert_batches_match_forward(model, samples)
+
+    def test_a_wide_model_scores_fewer_than_256_at_a_time(self):
+        model, samples = self.scoring_model(5, 21, d=8, rank_widths=(8, 4))
+        # 23 fields and 8 + 4 crossed ones: 8·T·N·d = 11200 bytes a sample
+        assert model.score_batch == SCORE_BYTES // 11200 < 256
+        self.assert_batches_match_forward(model, samples)
 
     # each test holds the generator, so leaving the loop does not close it
     def test_breaking_after_one_batch_leaves_grad_mode_on(self, scored):

@@ -30,10 +30,15 @@ The last stdout line is the result as JSON.
 
 With ``--parent`` and ``--change`` it runs itself once per side and seed, in
 a new process each, prints both sides, and exits 1 when, for any seed, the
-places that hold generation-2 collections differ between the sides. The
-counts themselves may differ by as much as the number of rounds each run
-fitted in its ``--seconds``. Nothing under perfbench/ is changed; run.py
-writes its record under the checkout's perfbench/out/ as usual.
+places that hold generation-2 collections differ between the sides, or
+the two sides' set-up factors or tape factors differ by more than a factor
+of FACTOR_RATIO. The counts themselves may differ by as much as the number
+of rounds each run fitted in its ``--seconds``. The factors are checked
+because ``HostSpeed.factor`` averages the probes before and after each
+stretch, so a probe slowed by the previous round's garbage rescales the
+next set-up too, with no collection counted in that set-up. Nothing under
+perfbench/ is changed; run.py writes its record under the checkout's
+perfbench/out/ as usual.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from pathlib import Path
 
 PLACES = ("probe", "setup", "timed", "elsewhere")   # a collection counts in the first that holds it
 GENERATIONS = (0, 1, 2)
+FACTORS = ("setup_factor", "tape_factor")
+FACTOR_RATIO = 1.3      # the largest ratio allowed between the sides' factors
 
 
 def classify(starts, generations, intervals):
@@ -209,6 +216,12 @@ def placement(result):
     return {place for place, n in result["counts"][2].items() if n}
 
 
+def factors_differ(parent, change):
+    """The FACTORS whose two sides differ by more than a factor of FACTOR_RATIO."""
+    return [k for k in FACTORS
+            if max(parent[k], change[k]) > FACTOR_RATIO * min(parent[k], change[k])]
+
+
 def run_side(checkout, workload, seed, seconds):
     """check_checkout in a new process, so each side imports its own crossnet."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--checkout", checkout,
@@ -247,11 +260,14 @@ def main(argv=None):
         results = {side: run_side(getattr(args, side), args.workload, seed, args.seconds)
                    for side in sides}
         same = placement(results["parent"]) == placement(results["change"])
+        factors = factors_differ(results["parent"], results["change"])
         print(f"{args.workload} seed {seed}: generation-2 placement "
-              f"{'same' if same else 'DIFFERS'}")
+              f"{'same' if same else 'DIFFERS'}; factors "
+              + (f"DIFFER by more than {FACTOR_RATIO}x: {', '.join(factors)}" if factors
+                 else f"within {FACTOR_RATIO}x"))
         print("\n".join(HEADER + rows("parent", results["parent"])
                         + rows("change", results["change"])) + "\n")
-        if not same:
+        if not same or factors:
             differ.append(seed)
     return 1 if differ else 0
 
