@@ -213,23 +213,23 @@ def cmd_eval(args, cfg):
 
 def cmd_explain(args, cfg):
     model = _load_model(args.model, cfg)
-    ds = _load_split(args.data, cfg)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 
     if args.static:
-        r1 = explain.rank1_attention_weights(model, ds.test)
+        r1 = explain.rank1_attention_weights(model, _load_split(args.data, cfg).test)
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
         print(f"wrote {out_dir / 'patterns.csv'}")
         return 0
 
-    raw = next((s for s in ds.test + ds.train if s.entity_id == args.entity), None)
-    if raw is None:
+    # the schema comes from the checkpoint, so only this entity's rows are read
+    found = load_csv(args.data, cfg.schema_config(), entity=args.entity)
+    if not found:
         print(f"unknown entity id {args.entity!r}", file=sys.stderr)
         return 1
-    out = next(model.score([raw]))
+    out = next(model.score(found))
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(out["y"][0].argmax())
     expl, E = explain.individual_explanation(

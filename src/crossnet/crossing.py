@@ -101,11 +101,17 @@ def pca_select(crossed, w_pca):
     return ad.transpose(mixed, (0, 1, 3, 2))
 
 
-# samples per cross_block chunk are chosen so one chunk of L stays in cache
+# each loop of cross_block takes samples in chunks that touch about this many
+# bytes, so every pass over a chunk runs from cache
 _CHUNK_BYTES = 1 << 20
 # blocks with at least this many crossed channels n_prev·n1 run the sign-split
 # forward; below it, building L is faster (measured: they meet near 100)
 _SPLIT_CHANNELS = 128
+
+
+def _chunk_step(*sizes):
+    """Samples per chunk of a loop whose arrays hold ``sizes`` float64s per sample."""
+    return max(1, _CHUNK_BYTES // (8 * sum(sizes)))
 
 
 def _lrelu_cross(xp, x1, L, tmp):
@@ -130,15 +136,15 @@ def _sign_split_mix(xp, x1, scale, w_pca):
     F = [lrelu(x1); min(x1, 0.1·x1)] and P = [max(xp, 0); min(xp, 0)] stacked
     per row, mixed[r, o] = Σ_(s,m) P[r, s, m] · (F W)[r, s, m, o], where
     W[k, (m, o)] = (1 + a_mk)·w_pca[m·n1 + k, o]. Each chunk of samples is one
-    batched GEMM of F against W and one row-wise contraction with P; chunks
-    hold about ``_CHUNK_BYTES`` of F W.
+    batched GEMM of F against W and one row-wise contraction with P; a chunk
+    of W, F, P and F W together holds about ``_CHUNK_BYTES``.
     """
     B, R, n_prev = xp.shape
     n1 = x1.shape[2]
     c_o = w_pca.shape[1]
     w = w_pca.reshape(n_prev, n1, c_o).transpose(1, 0, 2)          # [n1, n_prev, c_o]
     s = scale.reshape(B, n_prev, n1, 1).transpose(0, 2, 1, 3)      # [B, n1, n_prev, 1]
-    step = max(1, _CHUNK_BYTES // (16 * R * n_prev * c_o))
+    step = _chunk_step(n1 * n_prev * c_o, 2 * R * n1, 2 * R * n_prev, 2 * R * n_prev * c_o)
     n = min(step, B)
     W = np.empty((n, n1, n_prev, c_o))
     F = np.empty((n, R, 2, n1))
@@ -171,17 +177,23 @@ def cross_block(X1, Xprev, a, w_pca):
     L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b, with lrelu'(0) = 0.1
     as in ``ad.leaky_relu``.
 
-    Below ``_SPLIT_CHANNELS`` crossed channels the forward builds L: samples
-    are taken in chunks of about ``_CHUNK_BYTES`` of L, so each pass over a
-    chunk runs from cache, and L is never held whole: each chunk is written
-    to one reused scratch buffer. From ``_SPLIT_CHANNELS`` on, the forward is
-    ``_sign_split_mix``, which builds neither L nor W_b; the kernel depends
-    on the shape alone, so a forward under ``no_grad`` is bit-identical to
-    one in grad mode. Backward is the same for both: it recomputes each chunk
-    of L in the chunk buffer with ``_lrelu_cross``, as the L forward does, so
-    bit for bit with storing L, and then lets go of the node's saved arrays,
-    so it runs once per graph; a second backward through the node raises
-    ValueError.
+    Every loop takes samples in chunks sized by ``_chunk_step`` from all the
+    arrays that a chunk touches, so each pass over a chunk runs from cache,
+    and neither L nor W_b is held whole. Below ``_SPLIT_CHANNELS`` crossed
+    channels the forward builds each chunk of L and of W_b in reused buffers,
+    with a second L-sized buffer as the lrelu scratch, and the node keeps the
+    L and W_b buffers for backward. From ``_SPLIT_CHANNELS`` on, the forward
+    is ``_sign_split_mix``, which builds neither, and backward makes the two
+    buffers itself. The kernel depends on the shape alone, so a forward under
+    ``no_grad`` is bit-identical to one in grad mode.
+
+    Backward is the same for both kernels, in the L forward's chunks. Per
+    chunk it recomputes L with ``_lrelu_cross``, as the L forward does, so
+    bit for bit with storing L, using dP's buffer as the scratch; once the
+    GEMM M = Lᵀ G has read L, the slope lrelu' = 0.1 + 0.9·[L > 0] is written
+    over it. A chunk so streams two L-sized arrays, L and dP. Backward then
+    lets go of the node's saved arrays, so it runs once per graph; a second
+    backward through the node raises ValueError.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -193,45 +205,47 @@ def cross_block(X1, Xprev, a, w_pca):
     x1 = np.ascontiguousarray(X1.data.transpose(0, 1, 3, 2)).reshape(B, R, n1)
     xp = np.ascontiguousarray(Xprev.data.transpose(0, 1, 3, 2)).reshape(B, R, n_prev)
     scale = 1.0 + a.data.reshape(B, c_i, 1)
-    step = max(1, _CHUNK_BYTES // (8 * R * c_i))
+    step = _chunk_step(R * c_i, R * c_i)    # L and its scratch, or L and dP in backward
     chunks = [slice(s, min(s + step, B)) for s in range(0, B, step)]
+    W_b = L = None              # chunk buffers of W_b and L: the L forward's, or backward's
     if c_i < _SPLIT_CHANNELS:
-        W_b = scale * w_pca.data                               # [B, c_i, c_o]
-        L = np.empty((min(step, B), R, n_prev, n1))
         mixed = np.empty((B, R, c_o))
+        W_b = np.empty((min(step, B), c_i, c_o))
+        L = np.empty((min(step, B), R, n_prev, n1))
         tmp = np.empty_like(L)  # after the output: freed on return, it leaves no heap hole
         for cs in chunks:
-            np.matmul(_lrelu_cross(xp[cs], x1[cs], L, tmp), W_b[cs], out=mixed[cs])
+            Lc = _lrelu_cross(xp[cs], x1[cs], L, tmp)
+            Wc = np.multiply(scale[cs], w_pca.data, out=W_b[:Lc.shape[0]])
+            np.matmul(Lc, Wc, out=mixed[cs])
     else:
         mixed = _sign_split_mix(xp, x1, scale, w_pca.data)
-        W_b = L = None
     out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
     if not ad.grad_enabled():
         return out
-    if L is None:               # the sign-split forward left these to backward
-        W_b = scale * w_pca.data
-        L = np.empty((min(step, B), R, n_prev, n1))
 
     def _bw(g, acc):
         nonlocal xp, x1, W_b, scale, L
-        if L is None:
+        if xp is None:
             raise ValueError("cross_block's backward already ran on this graph, "
                              "and its saved arrays are freed")
         Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)
         Mt = np.empty((B, c_o, c_i))                           # M_b = L_bᵀ G_b, transposed
         dxp = np.empty((B, R, n_prev, 1))
         dx1 = np.empty((B, R, 1, n1))
-        dP = np.empty((min(step, B), R, c_i))
-        slope = np.empty_like(dP)
+        if L is None:
+            W_b = np.empty((min(step, B), c_i, c_o))
+            L = np.empty((min(step, B), R, n_prev, n1))        # L, then lrelu'
+        dP = np.empty((min(step, B), R, c_i))                  # lrelu scratch, then dP
         for cs in chunks:
-            Lc = _lrelu_cross(xp[cs], x1[cs], L, slope)
+            Lc = _lrelu_cross(xp[cs], x1[cs], L, dP)
             n = Lc.shape[0]
             np.matmul(Gt[cs], Lc, out=Mt[cs])
-            np.matmul(Gt[cs].transpose(0, 2, 1), W_b[cs].transpose(0, 2, 1), out=dP[:n])
-            np.greater(Lc, 0.0, out=slope[:n])                 # lrelu' = 0.1 + 0.9·[L > 0]
-            slope[:n] *= 0.9
-            slope[:n] += 0.1
-            dP[:n] *= slope[:n]
+            np.multiply(scale[cs], w_pca.data, out=W_b[:n])
+            np.matmul(Gt[cs].transpose(0, 2, 1), W_b[:n].transpose(0, 2, 1), out=dP[:n])
+            np.greater(Lc, 0.0, out=Lc)                        # lrelu' = 0.1 + 0.9·[L > 0]
+            Lc *= 0.9
+            Lc += 0.1
+            dP[:n] *= Lc
             dPc = dP[:n].reshape(n, R, n_prev, n1)
             np.matmul(dPc, x1[cs, :, :, None], out=dxp[cs])
             np.matmul(xp[cs, :, None, :], dPc, out=dx1[cs])

@@ -138,7 +138,7 @@ def _checked_values(fields, row, path, lineno):
     return values
 
 
-def load_csv(path, schema_config):
+def load_csv(path, schema_config, entity=None):
     """Read the long format, returning one SequencedSample per usable entity.
 
     Entities without ``time_span`` consecutive trailing periods are dropped
@@ -146,7 +146,9 @@ def load_csv(path, schema_config):
     skipped with a line-level warning. A short or long row, an infinite
     numeric cell, a bad multi-valued cell, a non-integer label or a second
     row for an (entity, period) pair raises DataError naming ``path:line``.
-    Each step's values are keyed in ``schema_config.fields`` order.
+    Each step's values are keyed in ``schema_config.fields`` order. Given an
+    ``entity`` id, only that entity's rows are read and checked; every other
+    row is skipped unchecked.
     """
     T = schema_config.time_span
     by_entity = {}
@@ -169,6 +171,8 @@ def load_csv(path, schema_config):
                   for name in schema_config.fields]
         for row in reader:
             if not row:                 # a blank line
+                continue
+            if entity is not None and (len(row) <= entity_col or row[entity_col] != entity):
                 continue
             lineno = reader.line_num
             if len(row) != width:

@@ -368,6 +368,60 @@ class TestExplainCommand:
         assert rc == 1
 
 
+    def entity_rows(self, data_path, entity):
+        """The header and ``entity``'s rows of the CSV, and their line numbers."""
+        rows = list(csv.reader(open(data_path, newline="")))
+        return rows[0], [(i + 1, r) for i, r in enumerate(rows) if r[0] == entity], rows
+
+    def explain_entity(self, data, trained, config_path, out_dir, entity="s00000"):
+        return main(["explain", "--data", str(data), "--model", str(trained),
+                     "--config", str(config_path), "--out", str(out_dir),
+                     "--entity", entity])
+
+    def test_one_entity_csv_gives_the_same_files(self, tmp_path, config_path, data_path,
+                                                 trained):
+        header, own, _ = self.entity_rows(data_path, "s00000")
+        one = tmp_path / "one.csv"
+        with open(one, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + [r for _, r in own])
+        assert self.explain_entity(data_path, trained, config_path, tmp_path / "all") == 0
+        assert self.explain_entity(one, trained, config_path, tmp_path / "one") == 0
+        for name in ("explain_s00000.csv", "heatmap_s00000.svg"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_a_bad_row_of_the_entity_names_its_line(self, tmp_path, config_path, data_path,
+                                                   trained, capsys):
+        _, own, rows = self.entity_rows(data_path, "s00000")
+        line, _ = own[1]
+        rows[line - 1] = rows[line - 1][:3]
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert self.explain_entity(bad, trained, config_path, tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: expected {len(rows[0])} cells, got 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_other_entities_rows_are_not_checked(self, tmp_path, config_path, data_path,
+                                                 trained):
+        _, other, rows = self.entity_rows(data_path, "s00001")
+        line, _ = other[0]
+        rows[line - 1] = rows[line - 1][:3]
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert self.explain_entity(bad, trained, config_path, tmp_path / "x") == 0
+        assert main(["eval", "--data", str(bad), "--model", str(trained),
+                     "--config", str(config_path)]) == 1
+
+    def test_unknown_entity_is_named(self, tmp_path, config_path, data_path, trained, capsys):
+        assert self.explain_entity(data_path, trained, config_path, tmp_path / "x",
+                                   entity="nobody") == 1
+        assert "unknown entity id 'nobody'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestScoringHoldsOneBatch:
     """eval and explain encode each batch when they take it."""
 

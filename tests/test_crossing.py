@@ -153,7 +153,7 @@ class TestLassoPenalty:
 
 @contextlib.contextmanager
 def chunk_bytes(n):
-    """Run cross_block with ``n`` bytes of L per chunk (one sample when tiny)."""
+    """Run cross_block with ``n`` bytes per chunk of each loop (one sample when tiny)."""
     saved = crossing._CHUNK_BYTES
     crossing._CHUNK_BYTES = n
     try:
@@ -168,6 +168,14 @@ def block_inputs(B, T, n1, n_prev, d, c_o, seed):
             ad.Param(rng.normal(size=(B, T, n_prev, d)), name="Xprev"),
             ad.Param(rng.uniform(size=(B, n_prev, n1)), name="a"),
             ad.Param(rng.normal(size=(n_prev * n1, c_o)), name="w_pca"))
+
+
+def forward_sizes(R, n1, n_prev, c_o):
+    """Float64s per sample in each array that cross_block's forward loop touches."""
+    c_i = n_prev * n1
+    if c_i < crossing._SPLIT_CHANNELS:
+        return R * c_i, R * c_i                           # L and its lrelu scratch
+    return n1 * n_prev * c_o, 2 * R * n1, 2 * R * n_prev, 2 * R * n_prev * c_o   # W, F, P, F W
 
 
 def chain(X1, Xprev, a, w_pca):
@@ -271,10 +279,52 @@ class TestCrossBlock:
         R = np.random.default_rng(n_prev).normal(size=(B, T, c_o, d))
         assert_matches_chain(params, R, data.draw(st.sampled_from([8, 1 << 20])))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bits_do_not_depend_on_the_chunk_budget(self, data):
+        # one sample per chunk, the default, and the whole batch in one chunk,
+        # on both sides of the crossover and with exact 0.0 and -0.0 inputs
+        n_prev, n1 = data.draw(st.sampled_from(
+            [(1, 1), (3, 4), (11, 11), (10, 12), (12, 12), (16, 8), (5, 26), (8, 25)]))
+        B = data.draw(st.integers(1, 5))
+        T, d, c_o = (data.draw(st.integers(1, 3)) for _ in range(3))
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=data.draw(st.integers(0, 2**16)))
+        for p in params[:2]:
+            zero = data.draw(hnp.arrays(np.bool_, p.data.shape))
+            p.data[zero] = data.draw(st.sampled_from([0.0, -0.0]))
+        R = np.random.default_rng(B).normal(size=(B, T, c_o, d))
+        runs = []
+        for budget in (8, crossing._CHUNK_BYTES, 1 << 30):
+            with chunk_bytes(budget):
+                runs.append([x.tobytes() for x in value_and_grads(cross_block, params, R)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_backward_scratch_stays_under_two_chunks_of_the_budget(self):
+        B, T, n1, n_prev, d, c_o = 16, 2, 12, 12, 16, 1
+        params = block_inputs(B, T, n1, n_prev, d, c_o, seed=11)
+        L_sample = 8 * T * d * n_prev * n1
+        budget = 2 * 2 * L_sample                      # two samples of L and of dP
+        grads = []
+        with chunk_bytes(budget):
+            out = cross_block(*params)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out._backward(np.ones(out.shape), lambda t, g: grads.append(g))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        scratch = peak - sum(g.nbytes for g in grads)
+        assert n_prev * n1 >= crossing._SPLIT_CHANNELS and B * L_sample == 4 * budget
+        # L and dP fill the budget; the rest (the transposed upstream gradient,
+        # M, a chunk of W_b and one temporary) is under a third of it, so one
+        # more L-sized chunk buffer would take the scratch past 1.5 budgets
+        assert scratch < 1.5 * budget
+
     def test_grad_mode_forward_keeps_under_two_chunks_of_products(self):
         B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
         params = block_inputs(B, T, n1, n_prev, d, c_o, seed=7)
-        chunk = 2 * 8 * T * d * n_prev * n1            # two samples of L per chunk
+        chunk = 2 * 8 * T * d * n_prev * n1            # the bytes of two samples of L
         gc.collect()
         with chunk_bytes(chunk):
             tracemalloc.start()
@@ -295,7 +345,8 @@ class TestCrossBlock:
         B, T, n1, n_prev, d, c_o = 64, 2, 16, 16, 4, 16
         params = block_inputs(B, T, n1, n_prev, d, c_o, seed=10)
         w_b = 8 * B * n_prev * n1 * c_o             # (1 + a)·w_pca per sample: 2 MB
-        chunk = 2 * 16 * T * d * n_prev * c_o       # two samples of the stacked F W
+        R = T * d
+        chunk = 2 * 8 * sum(forward_sizes(R, n1, n_prev, c_o))   # two samples per chunk
 
         def peak(mode):
             gc.collect()
@@ -308,13 +359,16 @@ class TestCrossBlock:
                     tracemalloc.stop()
 
         assert n_prev * n1 >= crossing._SPLIT_CHANNELS
-        # grad mode makes W_b for backward; scoring needs about a quarter of it
-        assert peak(contextlib.nullcontext()) > w_b > 2 * peak(ad.no_grad())
+        with chunk_bytes(chunk):
+            assert crossing._chunk_step(*forward_sizes(R, n1, n_prev, c_o)) == 2
+        # backward builds W_b a chunk at a time, so neither mode needs half of it
+        assert w_b > 2 * peak(ad.no_grad())
+        assert w_b > 2 * peak(contextlib.nullcontext())
 
     def test_graph_after_backward_keeps_under_one_chunk_beyond_the_output(self):
         B, T, n1, n_prev, d, c_o = 16, 2, 8, 8, 16, 2
         params = block_inputs(B, T, n1, n_prev, d, c_o, seed=9)
-        chunk = 2 * 8 * T * d * n_prev * n1            # two samples of L per chunk
+        chunk = 2 * 8 * T * d * n_prev * n1            # the bytes of two samples of L
         gc.collect()
         with chunk_bytes(chunk):
             tracemalloc.start()
@@ -465,10 +519,9 @@ def scoring_setup(B, T, noise, d, widths, seed):
     return Model(schema, config), raw[:B]
 
 
-def block1_step(T, noise, d):
-    """Samples per cross_block chunk in the first block."""
-    n1 = 2 + noise
-    return max(1, crossing._CHUNK_BYTES // (8 * T * d * n1 * n1))
+def block1_step(T, noise, d, c_o):
+    """Samples per chunk of the first block's forward loop."""
+    return crossing._chunk_step(*forward_sizes(T * d, 2 + noise, 2 + noise, c_o))
 
 
 def assert_forward_matches_grad_mode(model, samples):
@@ -493,12 +546,13 @@ class TestNoGradForward:
         # B = 1, or one past the first block's chunk step so its last chunk is partial
         B = step + 1 if past_step else 1
         model, samples = scoring_setup(B, T, noise, d, widths, seed)
-        with chunk_bytes(8 * T * d * (2 + noise) ** 2 * step):
-            assert block1_step(T, noise, d) == step
+        n1 = 2 + noise
+        with chunk_bytes(8 * sum(forward_sizes(T * d, n1, n1, widths[0])) * step):
+            assert block1_step(T, noise, d, widths[0]) == step
             assert_forward_matches_grad_mode(model, samples)
 
     def test_bit_identical_past_the_default_chunk_step(self):
-        B = block1_step(T=2, noise=2, d=8) + 1
+        B = block1_step(T=2, noise=2, d=8, c_o=8) + 1
         model, samples = scoring_setup(B, 2, 2, 8, (8, 4), seed=4)
         assert_forward_matches_grad_mode(model, samples)
 

@@ -122,6 +122,24 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:6: label 'yes'"):
             load_csv(path, basic_config)
 
+    ENTITIES = ("entity_id,period_index,f1,f2,label\n"
+                "a,0,1,1,\n" "b,0,1,oops,\n" "a,1,2,2,\n" "b,1\n" "a,2,3,3,1\n" "b,2,1,1,yes\n")
+
+    def test_entity_reads_only_its_rows(self, tmp_path, basic_config):
+        # b's rows are broken three ways, none of which is checked for a
+        path = write(tmp_path / "d.csv", self.ENTITIES)
+        (sample,) = load_csv(path, basic_config, entity="a")
+        assert sample.entity_id == "a" and sample.label == 1
+        assert [step["f1"] for step in sample.steps] == [1.0, 2.0, 3.0]
+        assert load_csv(path, basic_config, entity="nobody") == []
+        with pytest.raises(DataError, match=r"d\.csv:5: expected 5 cells, got 2"):
+            load_csv(path, basic_config)
+
+    def test_entity_row_still_names_its_line(self, tmp_path, basic_config):
+        path = write(tmp_path / "d.csv", self.ENTITIES)
+        with pytest.raises(DataError, match=r"d\.csv:5: expected 5 cells, got 2"):
+            load_csv(path, basic_config, entity="b")
+
     def test_missing_numeric_cell_becomes_nan(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv",
                      "entity_id,period_index,f1,f2,label\n"

@@ -1,10 +1,12 @@
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from crossnet import autodiff as ad
 from crossnet.autodiff import Tensor
@@ -532,6 +534,31 @@ class TestCheckpoint:
         again = tmp_path / "again.ckpt"
         save_checkpoint(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+    @settings(max_examples=8, deadline=None)
+    @given(T=st.integers(1, 2), d=st.integers(1, 2), h=st.integers(1, 2),
+           widths=st.lists(st.integers(1, 2), max_size=2), seed=st.integers(0, 2**16),
+           extra=st.binary(min_size=1, max_size=9))
+    def test_round_trip_is_byte_identical_and_any_cut_or_extra_byte_is_rejected(
+            self, T, d, h, widths, seed, extra):
+        _, schema = make_dataset(16, T=T)
+        model = Model(schema, small_config(T=T, d=d, h=h, rank_widths=widths, s=1, seed=seed))
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308])
+        for p in model.named_params().values():
+            p.data = np.where(rng.random(p.data.shape) < 0.2,
+                              rng.choice(special, size=p.data.shape), p.data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "m.ckpt", Path(tmp) / "again.ckpt"
+            save_checkpoint(model, path)
+            save_checkpoint(load_checkpoint(path), again)
+            blob = path.read_bytes()
+            assert again.read_bytes() == blob
+            for cut in [blob[:n] for n in range(len(blob))] + [blob + extra]:
+                path.write_bytes(cut)
+                with pytest.raises(ValueError):
+                    load_checkpoint(path)
 
 
 class TestTrainConfigChecks:
