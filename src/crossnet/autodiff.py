@@ -61,12 +61,11 @@ class Tensor:
 class Param(Tensor):
     """Trainable tensor with a persistent gradient accumulator."""
 
-    __slots__ = ("grad", "trainable", "name")
+    __slots__ = ("grad", "name")
 
-    def __init__(self, data, name="", trainable=True):
+    def __init__(self, data, name=""):
         super().__init__(data)
         self.grad = np.zeros_like(self.data)
-        self.trainable = trainable
         self.name = name
 
     def __repr__(self):
@@ -409,10 +408,9 @@ def zero_grads(params):
 
 
 def sgd_step(params, lr):
-    """Plain SGD: value -= lr * grad on trainable params."""
+    """Plain SGD: value -= lr * grad on every param."""
     for p in params:
-        if p.trainable:
-            p.data -= lr * p.grad
+        p.data -= lr * p.grad
 
 
 def grad_check(f, params, step=1e-4, tol=1e-3):

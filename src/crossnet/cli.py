@@ -213,6 +213,8 @@ def cmd_eval(args, cfg):
 
 def cmd_explain(args, cfg):
     model = _load_model(args.model, cfg)
+    # before scoring, which warns on an infinite weight
+    explain.check_selection_weights(model.blocks)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 

@@ -39,10 +39,6 @@ class CrossingBlock:
     def params(self):
         return [self.w_query, self.w_key, self.w_pca]
 
-    def channel_parents(self, channel):
-        """Pre-mixing channel index -> (m, k) parent pair."""
-        return divmod(channel, self.n1)
-
 
 @dataclass
 class RankStack:

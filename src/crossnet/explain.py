@@ -1,11 +1,11 @@
 """Static and per-sample explanations backtracked from the trained model.
 
-Static patterns: every output channel of every selection ("PCA") layer is
-expanded recursively through its above-threshold weights down to raw
-fields, giving per-rank multisets of field names with normalized path
-weights. Per-sample: the feature/temporal attention vectors and the
-predicted-class score factor into a T x N importance matrix whose top-K
-cells are reported with their expanded patterns.
+Static patterns: the selection ("PCA") layers are backtracked once, through
+their above-threshold weights down to raw fields, into one array per rank of
+path weights per (field multiset, channel); a rank's patterns are its row
+sums, normalized, and a channel's name is its column's largest multiset.
+Per-sample: the feature/temporal attention vectors and the predicted-class
+score factor into a T x N importance matrix whose top-K cells are reported.
 """
 
 from __future__ import annotations
@@ -32,55 +32,60 @@ class IndividualExplanation:
     entries: list     # (time_index, channel_index, pattern_str, score), score desc
 
 
-def channel_multisets(blocks, n1, epsilon):
-    """Per rank, per output channel: dict of raw-field-index multiset -> path weight.
-
-    Rank 1 channels are the raw fields themselves with weight 1; a rank-i
-    channel o accumulates |W[c, o]| * parent_weight over every above-threshold
-    entry c = m * n1 + k, extending the parent multiset of m with field k.
-    """
-    per_rank = [{m: {(m,): 1.0} for m in range(n1)}]
+def check_selection_weights(blocks):
+    """Raise ValueError naming the first selection matrix with a non-finite entry:
+    backtracking would turn an infinity into NaN weights and a NaN into a pruned path."""
     for block in blocks:
-        prev = per_rank[-1]
-        cur = {o: {} for o in range(block.c_o)}
-        w = np.abs(block.w_pca.data)
-        for c, o in zip(*np.nonzero(w > epsilon)):
-            m, k = block.channel_parents(int(c))
-            for multiset, pw in prev[m].items():
-                key = tuple(sorted(multiset + (int(k),)))
-                cur[int(o)][key] = cur[int(o)].get(key, 0.0) + pw * w[c, o]
-        per_rank.append(cur)
+        if not np.isfinite(block.w_pca.data).all():
+            raise ValueError(f"{block.w_pca.name} holds a non-finite selection weight")
+
+
+def path_weights(blocks, n1, epsilon):
+    """Per rank, ``(multisets, weights)``: the sorted rows of raw-field indices
+    that reach the rank's channels, and a ``[multisets, channels]`` array of
+    their path weights. Rank 1 is the raw fields with weight 1; a rank-i
+    channel o sums |W[c, o]| * parent weight over every above-threshold entry
+    c = m * n1 + k, extending each multiset of parent channel m with field k."""
+    check_selection_weights(blocks)
+    per_rank = [(np.arange(n1)[:, None], np.eye(n1))]
+    for block in blocks:
+        parents, weights = per_rank[-1]
+        w = np.abs(block.w_pca.data).reshape(block.n_prev, n1, 1, block.c_o)
+        w[w <= epsilon] = 0.0
+        # k-major, so that np.add.at sums each cell's terms in c = m * n1 + k order
+        fields = np.repeat(np.arange(n1), len(parents))[:, None]
+        children = np.sort(np.hstack([np.tile(parents, (n1, 1)), fields]), axis=1)
+        multisets, index = np.unique(children, axis=0, return_inverse=True)
+        summed = np.zeros((len(multisets), block.c_o))
+        for m in range(block.n_prev):
+            np.add.at(summed, index, (w[m] * weights[:, m, None]).reshape(-1, block.c_o))
+        kept = summed.any(axis=1)
+        per_rank.append((multisets[kept], summed[kept]))
     return per_rank
 
 
 def backtrack_patterns(blocks, schema, epsilon, rank1_weights=None):
-    """Per-rank combination patterns with weights normalized within each rank.
-
-    Rank-1 weights come from ``rank1_weights`` (e.g. the feature-attention
-    vector averaged over a data pass, restricted to rank-1 channels) and
-    default to uniform.
+    """Per-rank combination patterns: each multiset's path weights summed over
+    the rank's channels, normalized within the rank. Rank-1 weights come from
+    ``rank1_weights`` (e.g. the feature-attention vector averaged over a data
+    pass, restricted to rank-1 channels) and default to uniform.
     """
     n1 = len(schema)
     names = [f.name for f in schema]
     out = []
-    for rank, channels in enumerate(channel_multisets(blocks, n1, epsilon), start=1):
-        agg = {}
-        if rank == 1:
-            weights = (np.full(n1, 1.0 / n1) if rank1_weights is None
-                       else np.asarray(rank1_weights, dtype=np.float64))
-            for m in range(n1):
-                agg[(m,)] = float(weights[m])
-        else:
-            for chan_patterns in channels.values():
-                for multiset, w in chan_patterns.items():
-                    agg[multiset] = agg.get(multiset, 0.0) + w
-        total = sum(agg.values())
-        for multiset in sorted(agg):
-            weight = agg[multiset] / total if total > 0 else 0.0
+    for rank, (multisets, weights) in enumerate(path_weights(blocks, n1, epsilon), start=1):
+        agg = np.zeros(len(multisets))
+        for column in weights.T:    # channels left to right
+            agg += column
+        if rank == 1 and rank1_weights is not None:
+            agg = np.asarray(rank1_weights, dtype=np.float64)
+        agg = agg.tolist()
+        total = sum(agg)
+        for multiset, weight in zip(multisets.tolist(), agg):
             out.append(CombinationPattern(
                 rank=rank,
                 features=tuple(names[i] for i in multiset),
-                weight=weight))
+                weight=weight / total if total > 0 else 0.0))
     return out
 
 
@@ -100,22 +105,19 @@ def rank1_attention_weights(model, samples):
 
 
 def channel_pattern_names(blocks, schema, epsilon):
-    """For each of the N concatenated channels, a printable dominant pattern.
-
-    Rank-1 channels print their field name; higher-rank channels print the
-    highest-weight multiset among their retained paths, falling back to a
-    positional name when every path is below threshold.
+    """For each of the N concatenated channels, a printable dominant pattern:
+    the multiset with the largest path weight (argmax takes the first, and
+    multisets are sorted, so a tie goes to the lexicographically smallest), or
+    a positional name when every path is below threshold. Rank 1 is the fields.
     """
     names = [f.name for f in schema]
     out = []
-    for rank, channels in enumerate(channel_multisets(blocks, len(schema), epsilon), start=1):
-        for chan in sorted(channels):
-            patterns = channels[chan]
-            if not patterns:
+    for rank, (multisets, weights) in enumerate(path_weights(blocks, len(names), epsilon), 1):
+        for chan, column in enumerate(weights.T):
+            if column.any():
+                out.append(",".join(names[i] for i in multisets[column.argmax()]))
+            else:
                 out.append(f"rank{rank}_ch{chan}")
-                continue
-            best = max(patterns.items(), key=lambda kv: (kv[1], [-i for i in kv[0]]))
-            out.append(",".join(names[i] for i in best[0]))
     return out
 
 

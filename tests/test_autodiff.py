@@ -133,12 +133,6 @@ class TestSgdStep:
         ad.sgd_step([p], 0.0)
         assert p.data == 1.0
 
-    def test_non_trainable_untouched(self):
-        p = ad.Param(np.array(1.0), name="p", trainable=False)
-        p.grad[...] = 2.0
-        ad.sgd_step([p], 0.5)
-        assert p.data == 1.0
-
     def test_zero_grads(self):
         p = ad.Param(np.ones(4), name="p")
         p.grad[...] = 3.0

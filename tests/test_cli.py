@@ -361,6 +361,23 @@ class TestExplainCommand:
         assert not (tmp_path / "escaped.csv").exists()
         assert [p.name for p in out_dir.iterdir()] == ["explain_x"]
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", [["--static"], ["--entity", "s00000"]],
+                             ids=["static", "entity"])
+    def test_non_finite_selection_weight(self, tmp_path, config_path, data_path, trained,
+                                         capsys, mode, value):
+        m = model.load_checkpoint(trained)
+        m.blocks[0].w_pca.data[1, 0] = value
+        bad = tmp_path / "bad.ckpt"
+        model.save_checkpoint(m, bad)
+        capsys.readouterr()
+        rc = main(["explain", "--data", str(data_path), "--model", str(bad),
+                   "--config", str(config_path), "--out", str(tmp_path / "x")] + mode)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: cross2.w_pca holds a non-finite selection weight\n")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_entity(self, tmp_path, config_path, data_path, trained):
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),
                    "--config", str(config_path), "--out", str(tmp_path / "x"),
@@ -498,13 +515,13 @@ class TestScoringHoldsOneBatch:
                                                  monkeypatch):
         data, ckpt, ds = portfolio
         calls = []
-        multisets = explain.channel_multisets
+        path_weights = explain.path_weights
 
         def counting(*args):
             calls.append(args)
-            return multisets(*args)
+            return path_weights(*args)
 
-        monkeypatch.setattr(explain, "channel_multisets", counting)
+        monkeypatch.setattr(explain, "path_weights", counting)
         assert main(["explain", "--data", str(data), "--model", str(ckpt),
                      "--config", str(config_path), "--out", str(tmp_path / "expl"),
                      "--entity", ds.test[0].entity_id]) == 0

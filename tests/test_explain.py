@@ -23,31 +23,6 @@ def block_with(W, n1, T=1, rank=2, n_prev=None):
     return block
 
 
-def extract_nonzero(w_pca, epsilon):
-    """(input_channel, output_channel, weight) triples with |weight| > epsilon."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    w = np.asarray(w_pca)
-    ci, co = np.nonzero(np.abs(w) > epsilon)
-    return {(int(c), int(o), float(w[c, o])) for c, o in zip(ci, co)}
-
-
-class TestExtractNonzero:
-    def test_threshold(self):
-        W = np.array([[0.5, 0.0], [1e-6, 0.2]])
-        assert extract_nonzero(W, 1e-4) == {(0, 0, 0.5), (1, 1, 0.2)}
-
-    def test_all_zero(self):
-        assert extract_nonzero(np.zeros((3, 2)), 1e-4) == set()
-
-    def test_epsilon_above_max(self):
-        assert extract_nonzero(np.array([[0.1]]), 0.5) == set()
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            extract_nonzero(np.zeros((2, 2)), 0.0)
-
-
 class TestBacktrackPatterns:
     def test_single_path(self):
         # 2 raw fields, one rank-2 block; only channel (m=0 -> f0, k=1 -> f1) kept
@@ -83,9 +58,17 @@ class TestBacktrackPatterns:
         rank2 = [p for p in patterns if p.rank == 2]
         assert rank2[0].features == ("f1", "f1")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_is_named(self, value):
+        W = np.full((4, 1), 0.5)
+        W[3, 0] = value
+        with pytest.raises(ValueError, match=r"cross2\.w_pca holds a non-finite"):
+            backtrack_patterns([block_with(W, 2)], schema_of(2), 1e-4)
 
-def enumerate_paths(blocks, n1, epsilon):
-    """Independent oracle: explicit enumeration of every weight path."""
+
+def enumerate_channel_paths(blocks, n1, epsilon):
+    """Independent oracle: per rank, per channel, every weight path enumerated
+    explicitly into a dict of raw-field-index multiset -> path weight."""
     per_rank = []
     # rank 1: raw channels
     chains = {m: {(m,): 1.0} for m in range(n1)}
@@ -104,9 +87,13 @@ def enumerate_paths(blocks, n1, epsilon):
                         key = tuple(sorted(multiset + (k,)))
                         cur[o][key] = cur[o].get(key, 0.0) + pw * w
         per_rank.append(cur)
-    # aggregate per rank, normalized
+    return per_rank
+
+
+def enumerate_paths(blocks, n1, epsilon):
+    """The oracle's paths aggregated per rank over channels, normalized."""
     out = []
-    for rank, channels in enumerate(per_rank, start=1):
+    for channels in enumerate_channel_paths(blocks, n1, epsilon):
         agg = {}
         for d in channels.values():
             for key, w in d.items():
@@ -114,6 +101,36 @@ def enumerate_paths(blocks, n1, epsilon):
         total = sum(agg.values())
         out.append({k: (v / total if total else 0.0) for k, v in agg.items()})
     return out
+
+
+def enumerate_names(blocks, schema, epsilon):
+    """The oracle's per-channel maxima; a tie goes to the lexicographically
+    smallest multiset, and a channel with no path keeps its positional name."""
+    out = []
+    per_rank = enumerate_channel_paths(blocks, len(schema), epsilon)
+    for rank, channels in enumerate(per_rank, start=1):
+        for chan, paths in sorted(channels.items()):
+            if not paths:
+                out.append(f"rank{rank}_ch{chan}")
+                continue
+            best = min(paths, key=lambda key: (-paths[key], key))
+            out.append(",".join(schema[i].name for i in best))
+    return out
+
+
+def assert_matches_oracle(blocks, n1, epsilon, rel):
+    schema = schema_of(n1)
+    got = backtrack_patterns(blocks, schema, epsilon)
+    expected = enumerate_paths(blocks, n1, epsilon)
+    for rank in range(2, len(blocks) + 2):
+        got_rank = {p.features: p.weight for p in got if p.rank == rank}
+        exp_rank = {tuple(f"f{i}" for i in key): w
+                    for key, w in expected[rank - 1].items()}
+        assert set(got_rank) == set(exp_rank)
+        for key, w in exp_rank.items():
+            assert got_rank[key] == pytest.approx(w, rel=rel, abs=0)
+    assert channel_pattern_names(blocks, schema, epsilon) == enumerate_names(
+        blocks, schema, epsilon)
 
 
 class TestOracleEquivalence:
@@ -128,17 +145,25 @@ class TestOracleEquivalence:
         for b in blocks:
             mask = rng.uniform(size=b.w_pca.shape) < 0.5
             b.w_pca.data = np.where(mask, rng.normal(size=b.w_pca.shape), 0.0)
+        assert_matches_oracle(blocks, n1, 1e-4, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n1=st.integers(2, 4), widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           zeroed=st.floats(0.0, 0.7), tied=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           below=st.integers(0, 2**16))
+    def test_small_nets(self, n1, widths, zeroed, tied, seed, below):
         eps = 1e-4
-        schema = schema_of(n1)
-        got = backtrack_patterns(blocks, schema, eps)
-        expected = enumerate_paths(blocks, n1, eps)
-        for rank in (2, 3):
-            got_rank = {p.features: p.weight for p in got if p.rank == rank}
-            exp_rank = {tuple(f"f{i}" for i in key): w
-                        for key, w in expected[rank - 1].items()}
-            assert set(got_rank) == set(exp_rank)
-            for key, w in exp_rank.items():
-                assert got_rank[key] == pytest.approx(w, abs=1e-9)
+        rng = np.random.default_rng(seed)
+        blocks = make_blocks(n1, widths, 1, rng)
+        for b in blocks:
+            # a few exact values give equal path weights, so the tie rule is exercised
+            values = (rng.choice([0.25, -0.5, 0.5, 1.0], size=b.w_pca.shape) if tied
+                      else rng.normal(size=b.w_pca.shape))
+            b.w_pca.data = np.where(rng.uniform(size=b.w_pca.shape) < zeroed, 0.0, values)
+        # one channel whose every entry lies at or below epsilon
+        block = blocks[below % len(blocks)]
+        block.w_pca.data[:, below % block.c_o] = rng.uniform(-eps, eps, size=block.c_i)
+        assert_matches_oracle(blocks, n1, eps, rel=1e-12)
 
 
 class TestIndividualExplanation:

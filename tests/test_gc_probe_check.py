@@ -71,3 +71,20 @@ def test_factors_differ_beyond_the_ratio(tool, parent, change, differ):
 
     assert tool.FACTOR_RATIO == 1.3
     assert tool.factors_differ(result(parent), result(change)) == differ
+
+
+def runs(setup, tape):
+    return [{"setup_factor": s, "tape_factor": t} for s, t in zip(setup, tape)]
+
+
+@pytest.mark.parametrize("parent, change, differ", [
+    # identical code on a host that changed speed between runs: seed by seed
+    # the set-up factors are 1.54x and 1.46x apart, their medians 1.01x
+    (runs([1.588, 1.266], [1.0, 1.0]), runs([1.029, 1.854], [1.0, 1.0]), []),
+    # a moved probe, seen in both runs of each side
+    (runs([0.525, 0.521], [0.531, 0.534]), runs([0.931, 0.950], [0.926, 0.934]),
+     ["setup_factor", "tape_factor"]),
+])
+def test_factors_compare_medians_over_the_seeds(tool, parent, change, differ):
+    assert tool.factors_differ(tool.median_factors(parent),
+                               tool.median_factors(change)) == differ

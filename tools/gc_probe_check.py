@@ -31,14 +31,16 @@ The last stdout line is the result as JSON.
 With ``--parent`` and ``--change`` it runs itself once per side and seed, in
 a new process each, prints both sides, and exits 1 when, for any seed, the
 places that hold generation-2 collections differ between the sides, or
-the two sides' set-up factors or tape factors differ by more than a factor
-of FACTOR_RATIO. The counts themselves may differ by as much as the number
-of rounds each run fitted in its ``--seconds``. The factors are checked
-because ``HostSpeed.factor`` averages the probes before and after each
-stretch, so a probe slowed by the previous round's garbage rescales the
-next set-up too, with no collection counted in that set-up. Nothing under
-perfbench/ is changed; run.py writes its record under the checkout's
-perfbench/out/ as usual.
+when the medians over all ``--seeds`` of the two sides' set-up factors or
+tape factors differ by more than a factor of FACTOR_RATIO. The counts
+themselves may differ by as much as the number of rounds each run fitted
+in its ``--seconds``. The factors are checked because ``HostSpeed.factor``
+averages the probes before and after each stretch, so a probe slowed by
+the previous round's garbage rescales the next set-up too, with no
+collection counted in that set-up. They are compared as medians because
+the host can change speed between two runs, so one run per side does not
+separate a change from drift. Nothing under perfbench/ is changed; run.py
+writes its record under the checkout's perfbench/out/ as usual.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import functools
 import gc
 import io
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -216,6 +219,11 @@ def placement(result):
     return {place for place, n in result["counts"][2].items() if n}
 
 
+def median_factors(results):
+    """{factor: its median over ``results``} for each of FACTORS."""
+    return {k: statistics.median(r[k] for r in results) for k in FACTORS}
+
+
 def factors_differ(parent, change):
     """The FACTORS whose two sides differ by more than a factor of FACTOR_RATIO."""
     return [k for k in FACTORS
@@ -254,22 +262,28 @@ def main(argv=None):
         return 0
     if not (args.parent and args.change):
         p.error("give --checkout, or --parent and --change")
-    differ = []
+    moved = False
+    runs = {"parent": [], "change": []}
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {side: run_side(getattr(args, side), args.workload, seed, args.seconds)
                    for side in sides}
         same = placement(results["parent"]) == placement(results["change"])
-        factors = factors_differ(results["parent"], results["change"])
         print(f"{args.workload} seed {seed}: generation-2 placement "
-              f"{'same' if same else 'DIFFERS'}; factors "
-              + (f"DIFFER by more than {FACTOR_RATIO}x: {', '.join(factors)}" if factors
-                 else f"within {FACTOR_RATIO}x"))
+              f"{'same' if same else 'DIFFERS'}")
         print("\n".join(HEADER + rows("parent", results["parent"])
                         + rows("change", results["change"])) + "\n")
-        if not same or factors:
-            differ.append(seed)
-    return 1 if differ else 0
+        moved |= not same
+        for side, result in results.items():
+            runs[side].append(result)
+    medians = {side: median_factors(results) for side, results in runs.items()}
+    factors = factors_differ(medians["parent"], medians["change"])
+    print(f"{args.workload} median factors over seeds {args.seeds}: "
+          + ", ".join(f"{k} {medians['parent'][k]:.3f} -> {medians['change'][k]:.3f}"
+                      for k in FACTORS)
+          + "; " + (f"DIFFER by more than {FACTOR_RATIO}x: {', '.join(factors)}" if factors
+                    else f"within {FACTOR_RATIO}x"))
+    return 1 if moved or factors else 0
 
 
 if __name__ == "__main__":
