@@ -9,7 +9,7 @@ from .model import (EvalReport, Model, TrainConfig, auc, evaluate,
 from .explain import (CombinationPattern, IndividualExplanation,
                       backtrack_patterns, emit_reports,
                       individual_explanation)
-from .baselines import LrModel, ZScoreModel, lr_predict, lr_train, zscore_rate
+from .baselines import LrModel, lr_predict, lr_train, zscore_rate
 
 __all__ = [
     "Param", "Tensor", "backward", "grad_check", "sgd_step", "zero_grads",
@@ -20,5 +20,5 @@ __all__ = [
     "load_checkpoint", "lq_loss", "objective", "save_checkpoint", "train",
     "CombinationPattern", "IndividualExplanation", "backtrack_patterns",
     "emit_reports", "individual_explanation",
-    "LrModel", "ZScoreModel", "lr_predict", "lr_train", "zscore_rate",
+    "LrModel", "lr_predict", "lr_train", "zscore_rate",
 ]

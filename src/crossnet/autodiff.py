@@ -41,10 +41,10 @@ class Tensor:
 
     __slots__ = ("data", "_parents", "_backward")
 
-    def __init__(self, data, _parents=(), _backward=None):
+    def __init__(self, data, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self._parents = _parents if _grad_enabled else ()
-        self._backward = _backward if _grad_enabled else None
+        self._backward = None
 
     @property
     def shape(self):
@@ -132,24 +132,19 @@ def scale(a, c):
 
 
 def matmul(a, b):
+    """Batched matrix product of operands with at least two axes each."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of 2 or more axes: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = Tensor(np.matmul(a.data, b.data), (a, b))
 
     def _bw(g, acc):
-        if b.ndim == 1:
-            acc(a, np.expand_dims(g, -1) * b.data)
-            acc(b, _unbroadcast(np.expand_dims(g, -1) * a.data,
-                                (1,) * (a.ndim - 1) + b.shape).reshape(b.shape))
-        elif a.ndim == 1:
-            acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-            acc(b, _unbroadcast(np.outer(a.data, g), b.shape))
-        else:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            acc(a, _unbroadcast(ga, a.shape))
-            acc(b, _unbroadcast(gb, b.shape))
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        acc(a, _unbroadcast(ga, a.shape))
+        acc(b, _unbroadcast(gb, b.shape))
 
     return _record(out, _bw)
 
@@ -178,11 +173,12 @@ def relu(a):
                         lambda x, y: (x > 0.0).astype(np.float64))
 
 
-def leaky_relu(a, slope=0.1):
+def leaky_relu(a):
+    """Slope 0.1 below zero, as ``crossing.cross_block`` hard-codes."""
     return _elementwise(
         a,
-        lambda x: np.where(x > 0.0, x, slope * x),
-        lambda x, y: np.where(x > 0.0, 1.0, slope),
+        lambda x: np.where(x > 0.0, x, 0.1 * x),
+        lambda x, y: np.where(x > 0.0, 1.0, 0.1),
     )
 
 
@@ -219,10 +215,10 @@ def tsum(a, axis=None, keepdims=False):
     return _record(out, _bw)
 
 
-def tmean(a, axis=None):
+def tmean(a):
+    """Mean over every entry, as a scalar."""
     a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
+    return scale(tsum(a), 1.0 / a.data.size)
 
 
 def softmax(a, axis=-1):
@@ -266,7 +262,7 @@ def concat(tensors, axis):
     return _record(out, _bw)
 
 
-def stack(tensors, axis=0):
+def stack(tensors, axis):
     tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
 
@@ -334,12 +330,9 @@ def backward(loss):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if isinstance(loss, Param):
-        loss.grad += np.ones_like(loss.data)
-        return
     if not loss._parents:
         raise ValueError("backward needs a loss built from a graph; this one has no "
-                         "parents (a constant, or built under no_grad)")
+                         "parents (a constant, a bare Param, or built under no_grad)")
 
     topo = []
     visited = set()

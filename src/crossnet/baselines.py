@@ -7,7 +7,7 @@ conventions of the model module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,28 +16,25 @@ from .data import encode
 ALTMAN_COEFFICIENTS = np.array([0.517, -0.460, 18.640, 0.388, 1.158])
 ALTMAN_THRESHOLD = 0.9
 
-
-@dataclass
-class ZScoreModel:
-    coefficients: np.ndarray = field(default_factory=lambda: ALTMAN_COEFFICIENTS.copy())
-    threshold: float = ALTMAN_THRESHOLD
+# minibatch SGD settings of lr_train
+LR_STEP = 0.1
+LR_EPOCHS = 200
+LR_BATCH_SIZE = 32
 
 
 @dataclass
 class LrModel:
     weights: np.ndarray
     bias: float
-    l1: float
 
 
-def zscore_rate(x, model=None):
-    """Linear score over exactly five indicators; positive iff score > threshold."""
-    model = model or ZScoreModel()
+def zscore_rate(x):
+    """Altman score over exactly five indicators; positive iff score > ALTMAN_THRESHOLD."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (5,):
         raise ValueError(f"expected 5 indicator values, got shape {x.shape}")
-    score = float(model.coefficients @ x)
-    return score, score > model.threshold
+    score = float(ALTMAN_COEFFICIENTS @ x)
+    return score, score > ALTMAN_THRESHOLD
 
 
 def flatten_samples(samples, schema):
@@ -64,8 +61,9 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def lr_train(X, y, l1=0.0, lr=0.1, epochs=200, batch_size=32, seed=0):
-    """Minibatch SGD on logistic loss + l1 * ||w||_1 (sign subgradient, 0 at 0)."""
+def lr_train(X, y, l1=0.0, seed=0):
+    """Minibatch SGD on logistic loss + l1 * ||w||_1 (sign subgradient, 0 at 0):
+    LR_EPOCHS epochs of step LR_STEP over batches of LR_BATCH_SIZE."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(set(y.tolist())) < 2:
@@ -74,18 +72,18 @@ def lr_train(X, y, l1=0.0, lr=0.1, epochs=200, batch_size=32, seed=0):
     w = np.zeros(X.shape[1])
     b = 0.0
     n = len(y)
-    for _ in range(epochs):
+    for _ in range(LR_EPOCHS):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, LR_BATCH_SIZE):
+            idx = order[start:start + LR_BATCH_SIZE]
             xb, yb = X[idx], y[idx]
             p = _sigmoid(xb @ w + b)
             err = p - yb
             gw = xb.T @ err / len(idx) + l1 * np.sign(w)
             gb = err.mean()
-            w -= lr * gw
-            b -= lr * gb
-    return LrModel(weights=w, bias=b, l1=l1)
+            w -= LR_STEP * gw
+            b -= LR_STEP * gb
+    return LrModel(weights=w, bias=b)
 
 
 def lr_predict(x, model):

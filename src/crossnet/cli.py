@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, explain
-from .data import (DataError, SchemaConfig, build_schema, gen_synthetic_interaction,
-                   load_csv, split, synthetic_schema_config)
+from .data import (DataError, SchemaConfig, build_schema, csv_reader,
+                   gen_synthetic_interaction, load_csv, split, synthetic_schema_config)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
 
@@ -112,9 +112,13 @@ def _load_split(data_path, cfg):
 
 
 def _load_model(path, cfg):
-    """The checkpoint at ``path``; DataError unless the config reads every
-    field of its schema, as the same kind, over the same time span T."""
+    """The checkpoint at ``path``; DataError unless every parameter is finite
+    and the config reads every field of its schema, as the same kind, over
+    the same time span T."""
     model = load_checkpoint(path)
+    for p in model.params():
+        if not np.isfinite(p.data).all():
+            raise DataError(f"{path}: parameter {p.name} holds a non-finite value")
     if cfg.train.T != model.config.T:
         raise DataError(f"the config's T = {cfg.train.T} but {path} was trained "
                         f"with T = {model.config.T}")
@@ -138,8 +142,7 @@ def cmd_ingest(args, cfg):
     """Convert wide per-period CSV files (one file per period, in order) to long."""
     rows = {}
     for period, path in enumerate(args.inputs):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open(path, newline="", encoding="utf-8") as fh, csv_reader(fh, path) as reader:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
@@ -184,11 +187,7 @@ def cmd_ingest(args, cfg):
 def cmd_train(args, cfg):
     ds = _load_split(args.data, cfg)
     schema = build_schema(ds.train, cfg.schema_config())
-    try:
-        model, trace = train(ds.train, schema, cfg.train, log_every=1)
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
+    model, trace = train(ds.train, schema, cfg.train, log_every=1)
     save_checkpoint(model, args.out)
     trace_path = Path(args.out).with_suffix(".trace.csv")
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
@@ -213,8 +212,6 @@ def cmd_eval(args, cfg):
 
 def cmd_explain(args, cfg):
     model = _load_model(args.model, cfg)
-    # before scoring, which warns on an infinite weight
-    explain.check_selection_weights(model.blocks)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 
@@ -247,7 +244,6 @@ def cmd_baseline(args, cfg):
     if args.which == "zscore":
         if len(cfg.zscore_fields) != 5:
             raise ConfigError("zscore baseline needs exactly 5 zscore_fields in config")
-        zmodel = baselines.ZScoreModel()
         preds, labels = [], []
         for s in ds.test:
             empty = [f for f in cfg.zscore_fields if math.isnan(s.steps[-1][f])]
@@ -255,7 +251,7 @@ def cmd_baseline(args, cfg):
                 raise DataError(f"entity {s.entity_id!r} has an empty {empty[0]!r} cell "
                                 f"in its final period, which the zscore baseline reads")
             x = np.array([s.steps[-1][f] for f in cfg.zscore_fields], dtype=np.float64)
-            _, positive = baselines.zscore_rate(x, zmodel)
+            _, positive = baselines.zscore_rate(x)
             preds.append(1 if positive else 0)
             labels.append(s.label)
         report = confusion_report(preds, labels)
@@ -417,6 +413,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

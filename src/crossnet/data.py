@@ -8,6 +8,7 @@ the ``name:weight;name:weight`` syntax and are renormalized to sum to 1.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
@@ -81,7 +82,6 @@ class SequencedSample:
 class DatasetSplit:
     train: list[SequencedSample]
     test: list[SequencedSample]
-    seed: int
 
 
 def _parse_multi(cell):
@@ -138,22 +138,32 @@ def _checked_values(fields, row, path, lineno):
     return values
 
 
+@contextlib.contextmanager
+def csv_reader(fh, path):
+    """A csv.reader over ``fh``; a csv.Error in the block, such as a cell over
+    the csv module's field limit, leaves it as a DataError naming ``path:line``."""
+    reader = csv.reader(fh)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_csv(path, schema_config, entity=None):
     """Read the long format, returning one SequencedSample per usable entity.
 
     Entities without ``time_span`` consecutive trailing periods are dropped
     (count logged); rows with non-numeric cells in numerical fields are
-    skipped with a line-level warning. A short or long row, an infinite
-    numeric cell, a bad multi-valued cell, a non-integer label or a second
-    row for an (entity, period) pair raises DataError naming ``path:line``.
-    Each step's values are keyed in ``schema_config.fields`` order. Given an
-    ``entity`` id, only that entity's rows are read and checked; every other
-    row is skipped unchecked.
+    skipped with a line-level warning. A line the csv module rejects, a
+    short or long row, an infinite numeric cell, a bad multi-valued cell, a
+    non-integer label or a second row for an (entity, period) pair raises
+    DataError naming ``path:line``. Each step's values are keyed in
+    ``schema_config.fields`` order. Given an ``entity`` id, only that
+    entity's rows are checked; every other row is parsed and skipped.
     """
     T = schema_config.time_span
     by_entity = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh, csv_reader(fh, path) as reader:
         header = next(reader, None)
         if header is None:
             log.warning("empty csv file: %s", path)
@@ -176,11 +186,7 @@ def load_csv(path, schema_config, entity=None):
                 continue
             lineno = reader.line_num
             if len(row) != width:
-                # count the cells as a dict of the header would: the last of
-                # a repeated name wins, and a short row leaves the rest unset
-                got = (len(row) if len(row) > width else
-                       len(set(header[:len(row)]) - set(header[len(row):])))
-                raise DataError(f"{path}:{lineno}: expected {width} cells, got {got}")
+                raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
             try:
                 period = int(row[period_col])
             except ValueError:
@@ -314,9 +320,6 @@ class EncodedBatch:
     numeric: np.ndarray
     categorical: dict
 
-    def __len__(self):
-        return self.numeric.shape[1]
-
 
 def _items(keys):
     """A function giving the tuple of a step's values at ``keys``."""
@@ -385,7 +388,7 @@ def split(samples, ratio, seed):
     n_train = min(max(n_train, 1), len(samples) - 1)
     train = [samples[i] for i in order[:n_train]]
     test = [samples[i] for i in order[n_train:]]
-    return DatasetSplit(train=train, test=test, seed=seed)
+    return DatasetSplit(train=train, test=test)
 
 
 def gen_synthetic_interaction(n_samples, T, noise_fields, seed):

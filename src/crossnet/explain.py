@@ -147,8 +147,8 @@ def individual_explanation(p, q, r, predicted_class, K, pattern_names=None):
 def emit_reports(patterns, explanations, out_dir):
     """Write patterns.csv plus explain_<id>.csv and heatmap_<id>.svg per entity.
 
-    ``patterns`` of None writes no patterns.csv (an empty list writes its
-    header). ``explanations`` maps entity_id -> (IndividualExplanation, E matrix).
+    patterns.csv is written only when ``patterns`` is non-empty.
+    ``explanations`` maps entity_id -> (IndividualExplanation, E matrix).
     Heatmap cells are min-max normalized and rendered as grayscale rects
     (a lone value maps to full intensity). Every entity id must be a plain
     file name, so nothing is written outside ``out_dir``; a bad one raises
@@ -162,7 +162,7 @@ def emit_reports(patterns, explanations, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    if patterns is not None:
+    if patterns:
         path = out_dir / "patterns.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -185,8 +185,9 @@ def emit_reports(patterns, explanations, out_dir):
     return written
 
 
-def heatmap_svg(E, cell=20):
-    """T x N grayscale grid; darker means more important."""
+def heatmap_svg(E):
+    """T x N grayscale grid of 20 px cells; darker means more important."""
+    cell = 20
     E = np.asarray(E, dtype=np.float64)
     lo, hi = E.min(), E.max()
     norm = np.ones_like(E) if hi == lo else (E - lo) / (hi - lo)

@@ -182,8 +182,8 @@ def lq_loss(y_tilde, labels, q):
 class Model:
     """Embedding -> crossing stack -> dual attention -> GRU -> projection."""
 
-    def __init__(self, schema, config, rng=None):
-        rng = rng or np.random.default_rng(config.seed)
+    def __init__(self, schema, config):
+        rng = np.random.default_rng(config.seed)
         self.schema = schema
         self.config = config
         n1 = len(schema)

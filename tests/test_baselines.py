@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnet.baselines import (ALTMAN_COEFFICIENTS, ALTMAN_THRESHOLD,
-                                LrModel, ZScoreModel, flatten_samples,
-                                lr_predict, lr_train, zscore_rate)
+from crossnet import baselines
+from crossnet.baselines import (ALTMAN_COEFFICIENTS, ALTMAN_THRESHOLD, LrModel,
+                                flatten_samples, lr_predict, lr_train, zscore_rate)
 from crossnet.data import FeatureField, SequencedSample
 
 from test_data import normalize_ref
@@ -41,11 +41,6 @@ class TestZScore:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             zscore_rate([1.0, 2.0, 3.0])
-
-    def test_custom_threshold(self):
-        model = ZScoreModel(threshold=100.0)
-        _, positive = zscore_rate(np.ones(5), model)
-        assert not positive
 
     def test_coefficient_signs(self):
         assert ALTMAN_COEFFICIENTS[1] < 0
@@ -140,22 +135,28 @@ class TestLrTrain:
 
     def test_separable_points(self):
         X, y = self.separable_data()
-        model = lr_train(X, y, epochs=200)
+        model = lr_train(X, y)
         preds = (lr_predict(X, model) > 0.5).astype(int)
         np.testing.assert_array_equal(preds, y)
 
-    def test_strong_l1_shrinks_weights(self):
+    def test_strong_l1_shrinks_weights(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(64, 4))
         y = (X[:, 0] > 0).astype(int)
-        free = lr_train(X, y, l1=0.0, lr=0.01, epochs=50)
-        tight = lr_train(X, y, l1=5.0, lr=0.001, epochs=50)
+        monkeypatch.setattr(baselines, "LR_EPOCHS", 50)
+        monkeypatch.setattr(baselines, "LR_STEP", 0.01)
+        free = lr_train(X, y)
+        # a subgradient step leaves weights within about LR_STEP * l1 of 0
+        monkeypatch.setattr(baselines, "LR_STEP", 0.001)
+        tight = lr_train(X, y, l1=5.0)
         assert np.all(np.abs(tight.weights) <= 1e-2)
         assert np.abs(tight.weights).sum() < 0.1 * np.abs(free.weights).sum()
 
-    def test_zero_lr_leaves_model(self):
+    def test_zero_lr_leaves_model(self, monkeypatch):
         X, y = self.separable_data()
-        model = lr_train(X, y, lr=0.0, epochs=10)
+        monkeypatch.setattr(baselines, "LR_STEP", 0.0)
+        monkeypatch.setattr(baselines, "LR_EPOCHS", 10)
+        model = lr_train(X, y)
         np.testing.assert_array_equal(model.weights, np.zeros(1))
         assert model.bias == 0.0
 
@@ -176,22 +177,22 @@ class TestLrTrain:
 
 class TestLrPredict:
     def test_zero_model(self):
-        model = LrModel(weights=np.zeros(3), bias=0.0, l1=0.0)
+        model = LrModel(weights=np.zeros(3), bias=0.0)
         assert lr_predict(np.ones(3), model) == pytest.approx(0.5)
 
     def test_log_odds_fixture(self):
         # logit ln(3) -> probability 0.75
-        model = LrModel(weights=np.array([np.log(3.0)]), bias=0.0, l1=0.0)
+        model = LrModel(weights=np.array([np.log(3.0)]), bias=0.0)
         assert lr_predict(np.array([1.0]), model) == pytest.approx(0.75)
 
     def test_monotone_in_score(self):
-        model = LrModel(weights=np.array([1.0]), bias=0.0, l1=0.0)
+        model = LrModel(weights=np.array([1.0]), bias=0.0)
         xs = np.linspace(-3, 3, 7)[:, None]
         probs = lr_predict(xs, model)
         assert np.all(np.diff(probs) > 0)
 
     def test_matrix_input_shape(self):
-        model = LrModel(weights=np.array([1.0, -1.0]), bias=0.5, l1=0.0)
+        model = LrModel(weights=np.array([1.0, -1.0]), bias=0.5)
         probs = lr_predict(np.zeros((4, 2)), model)
         assert probs.shape == (4,)
         np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-0.5)))

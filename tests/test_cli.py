@@ -219,6 +219,17 @@ class TestIngest:
         assert f"{y1}:4: expected 4 cells, got {got}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_cell_names_its_line(self, tmp_path, config_path, capsys):
+        y1 = tmp_path / "p1.csv"
+        self.write_period(y1, [["e1", 1, 2, 3], ["e2", "9" * 131073, 2, 3]])
+        out = tmp_path / "o.csv"
+        rc = main(["ingest", "--in", str(y1), "--out", str(out), "--config", str(config_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{y1}:3: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_final_label(self, tmp_path, config_path):
         y1, y2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
         self.write_period(y1, [["acme", 1, 2, 3]])
@@ -282,6 +293,23 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "has label 2, outside [0, 2)" in err and "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_eval_of_an_oversized_cell_names_its_line(self, tmp_path, config_path, data_path,
+                                                      capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data_path), "--config", str(config_path),
+                     "--out", str(ckpt)]) == 0
+        rows = list(csv.reader(open(data_path, newline="")))
+        rows[5][2] = "1" * 131073
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(bad), "--model", str(ckpt),
+                   "--config", str(config_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:6: field larger than field limit (131072)\n"
 
     def test_eval_prints_metrics(self, tmp_path, config_path, data_path, capsys):
         out = tmp_path / "m.ckpt"
@@ -375,7 +403,7 @@ class TestExplainCommand:
                    "--config", str(config_path), "--out", str(tmp_path / "x")] + mode)
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: cross2.w_pca holds a non-finite selection weight\n")
+            f"error: {bad}: parameter cross2.w_pca holds a non-finite value\n")
         assert not (tmp_path / "x").exists()
 
     def test_unknown_entity(self, tmp_path, config_path, data_path, trained):
@@ -649,6 +677,21 @@ class TestSweepCommand:
         rows = list(csv.reader(open(out)))
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("argv", [["train", "--out", "m.ckpt"],
+                                      ["sweep", "--axis", "rank", "--values", "1,2"]],
+                             ids=["train", "sweep"])
+    def test_divergence_exits_one_without_a_traceback(self, tmp_path, data_path, capsys,
+                                                      monkeypatch, argv):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(with_line("lr = 1e306"))
+        monkeypatch.chdir(tmp_path)
+        rc = main(argv[:1] + ["--data", str(data_path), "--config", str(cfg)] + argv[1:])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"training diverged: loss became non-finite at epoch \d+, "
+                            r"batch \d+\n", err), err
+        assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("axis, values", [
         ("rank", "1,x"), ("rank", "2,0"), ("rank", "2,"),
         ("timespan", "2,0"), ("timespan", "2.5"),
@@ -665,6 +708,26 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("name, index, value", [
+        ("gru.w_h", (0, 1), math.inf), ("cross2.w_pca", (1, 0), math.nan),
+        ("embed.basis", (2, 3), -math.inf)])
+    def test_eval_exits_one_before_reading_data(self, tmp_path, config_path, data_path,
+                                                capsys, name, index, value):
+        cfg = parse_config(config_path)
+        schema = build_schema(cli._load_split(data_path, cfg).train, cfg.schema_config())
+        m = model.Model(schema, cfg.train)
+        m.named_params()[name].data[index] = value
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(m, ckpt)
+        for data in (data_path, tmp_path / "absent.csv"):
+            rc = main(["eval", "--data", str(data), "--model", str(ckpt),
+                       "--config", str(config_path)])
+            assert rc == 1
+            assert capsys.readouterr() == (
+                "", f"error: {ckpt}: parameter {name} holds a non-finite value\n")
 
 
 class TestMalformedCheckpoint:

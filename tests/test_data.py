@@ -77,6 +77,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:3: expected 5 cells, got 3"):
             load_csv(path, basic_config)
 
+    def test_short_row_counts_its_cells_under_a_repeated_name(self, tmp_path):
+        path = write(tmp_path / "d.csv",
+                     "entity_id,f1,period_index,f1,label\n" "a,1,0,1,1\n" "b,2\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: expected 5 cells, got 2$"):
+            load_csv(path, SchemaConfig(fields=["f1"], time_span=1))
+
+    def test_oversized_cell_names_line(self, tmp_path, basic_config):
+        path = write(tmp_path / "d.csv", "entity_id,period_index,f1,f2,label\n"
+                     "a,0,1,1,\n" f"a,1,{'1' * 131073},1,\n" "a,2,1,1,1\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: field larger than field limit"):
+            load_csv(path, basic_config)
+
     def test_long_row_names_line(self, tmp_path):
         # one cell too many shifts nothing: f1 = 2 and label 7 would load silently
         path = write(tmp_path / "d.csv",

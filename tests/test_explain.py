@@ -228,8 +228,9 @@ def reference_individual_explanation(p, q, r, predicted_class, K, pattern_names=
     return IndividualExplanation(entries=entries), E
 
 
-def reference_heatmap_svg(E, cell=20):
-    """The per-cell rounding that ``heatmap_svg`` replaced."""
+def reference_heatmap_svg(E):
+    """The per-cell rounding that ``heatmap_svg`` replaced, in 20 px cells."""
+    cell = 20
     E = np.asarray(E, dtype=np.float64)
     lo, hi = E.min(), E.max()
     norm = np.ones_like(E) if hi == lo else (E - lo) / (hi - lo)
@@ -272,11 +273,11 @@ class TestReportsMatchReference:
         assert np.array_equal(E, E_ref)
 
     @settings(max_examples=200, deadline=None)
-    @given(_vectors(_RANDOM | _TIED | _HALVES), st.sampled_from([1, 20]))
-    def test_heatmap_svg(self, pq, cell):
+    @given(_vectors(_RANDOM | _TIED | _HALVES))
+    def test_heatmap_svg(self, pq):
         p, q = pq
         E = np.outer(q, p)
-        assert heatmap_svg(E, cell) == reference_heatmap_svg(E, cell)
+        assert heatmap_svg(E) == reference_heatmap_svg(E)
 
     def test_heatmap_rounds_halves_to_even(self):
         E = np.array([[0.0, 1 / 510, 3 / 510, 1.0]])   # 254.5, 253.5
@@ -301,10 +302,12 @@ class TestChannelPatternNames:
 
 
 class TestEmitReports:
-    def test_empty_patterns_header_only(self, tmp_path):
-        emit_reports([], {}, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "patterns.csv")))
-        assert rows == [["rank", "pattern", "weight"]]
+    def test_empty_patterns_write_no_file(self, tmp_path):
+        assert emit_reports([], {}, tmp_path) == []
+        expl, E = individual_explanation([0.5, 0.5], [1.0], [1.0], 0, 2)
+        written = emit_reports([], {"acme": (expl, E)}, tmp_path)
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+        assert not (tmp_path / "patterns.csv").exists()
 
     def test_pattern_formatting(self, tmp_path):
         patterns = backtrack_patterns([], schema_of(2), 1e-4,

@@ -15,7 +15,9 @@ Three data sets are generated once, from this checkout's ``src`` and
 Each checkout then runs the same commands on each set, in its own copy of
 the set's directory, as ``python -m crossnet.cli`` with its own ``src``
 first on the path: train, eval, eval --all, explain --static, explain
---entity, baseline --which lr, sweep --axis rank and gradcheck. Every
+--entity, baseline --which lr, baseline --which zscore, sweep --axis rank
+and gradcheck. The numeric and score sets name five ``zscore_fields``; the
+categorical set names none, so its zscore baseline exits 2. Every
 command's exit code and the sha256 of its stdout and stderr are compared,
 and so is the sha256 of every file left in the directory. One line is
 printed per difference, and per set a summary that also names the
@@ -45,6 +47,7 @@ import workloads  # noqa: E402
 SIDES = ("parent", "change")
 SMALL = "T = 3\nd = 4\nrank_widths = 4, 3\ns = 3\nh = 8\nepochs = 3\nbatch_size = 16\n"
 ENTITY = "s00000"
+ZSCORE = "zscore_fields = x1, x2, noise0, noise1, noise2\n"
 
 
 def numeric_set(seed=11):
@@ -57,7 +60,7 @@ def numeric_set(seed=11):
                     step[name] = math.nan
     fields = list(samples[0].steps[0])
     return samples, data.SchemaConfig(fields=fields, time_span=3), (
-        f"fields = {', '.join(fields)}\n{SMALL}seed = {seed}\nratio = 0.7\n")
+        f"fields = {', '.join(fields)}\n{SMALL}{ZSCORE}seed = {seed}\nratio = 0.7\n")
 
 
 def categorical_set(seed=12):
@@ -90,7 +93,7 @@ def score_set(seed=3):
         f"fields = {', '.join(fields)}\ncategorical = sector, segments\n"
         f"multi_valued = segments\nT = {c['T']}\nd = {c['d']}\n"
         f"rank_widths = {', '.join(map(str, c['rank_widths']))}\ns = {c['s']}\n"
-        f"h = {c['h']}\nk = {c['k']}\nepochs = 1\nseed = {seed}\nratio = 0.7\n")
+        f"h = {c['h']}\nk = {c['k']}\nepochs = 1\n{ZSCORE}seed = {seed}\nratio = 0.7\n")
 
 
 SETS = {"numeric": numeric_set, "categorical": categorical_set, "score": score_set}
@@ -104,10 +107,15 @@ COMMANDS = [
     ["explain", "--data", "data.csv", "--model", "model.ckpt", "--config", "run.cfg",
      "--out", "entity", "--entity", ENTITY],
     ["baseline", "--data", "data.csv", "--config", "run.cfg", "--which", "lr"],
+    ["baseline", "--data", "data.csv", "--config", "run.cfg", "--which", "zscore"],
     ["sweep", "--data", "data.csv", "--config", "run.cfg", "--axis", "rank",
      "--values", "1,2", "--out", "sweep.csv"],
     ["gradcheck", "--config", "run.cfg"],
 ]
+
+
+# the arguments that, after the command, name each output
+NAMED = ("--all", "--static", "--entity", "lr", "zscore")
 
 
 def sha(blob):
@@ -120,7 +128,7 @@ def run_side(checkout, set_dir):
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = {}
     for argv in COMMANDS:
-        name = " ".join(argv[:1] + [a for a in argv if a in ("--all", "--static", "--entity")])
+        name = " ".join(argv[:1] + [a for a in argv if a in NAMED])
         proc = subprocess.run([sys.executable, "-m", "crossnet.cli"] + argv, cwd=set_dir,
                               env=env, capture_output=True, timeout=1800)
         out[f"{name}: exit code"] = str(proc.returncode)
