@@ -9,7 +9,6 @@ value is validated at parse time. Exit codes: 0 ok, 1 runtime error,
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
@@ -20,8 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, explain
-from .data import (DataError, SchemaConfig, build_schema, csv_reader,
-                   gen_synthetic_interaction, load_csv, split, synthetic_schema_config)
+from .data import (ENTITY, LABEL, PERIOD, DataError, SchemaConfig, build_schema,
+                   gen_synthetic_interaction, load_csv, read_rows, read_text, split,
+                   synthetic_schema_config, write_rows)
 from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
 
@@ -69,13 +69,14 @@ def parse_config(path):
     """Parse the flat key=value config file, rejecting unknown, repeated or bad keys.
 
     The keys are RunConfig's and TrainConfig's fields; each value takes the
-    type of its field's default, with lists and tuples comma-separated.
+    type of its field's default, with lists and tuples comma-separated. A
+    byte that is not UTF-8 is a DataError naming its line.
     """
     defaults = asdict(RunConfig())
     train_defaults = defaults.pop("train")
     defaults.update(train_defaults)
     kwargs, lines = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -142,59 +143,39 @@ def cmd_ingest(args, cfg):
     """Convert wide per-period CSV files (one file per period, in order) to long."""
     rows = {}
     for period, path in enumerate(args.inputs):
-        with open(path, newline="", encoding="utf-8") as fh, csv_reader(fh, path) as reader:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            for col in [cfg.entity_column] + list(cfg.fields):
-                if col not in header:
-                    raise DataError(f"{path}: missing column {col!r}")
-            column = {name: i for i, name in enumerate(header)}   # a repeated name takes its last
+        with read_rows(path, [cfg.entity_column, *cfg.fields]) as (width, column, lines):
             entity_col, label_col = column[cfg.entity_column], column.get(cfg.label_column)
             field_cols = [column[f] for f in cfg.fields]
-            for row in reader:
-                if not row:                 # a blank line
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                    f"cells, got {len(row)}")
+            for lineno, row in lines:
+                if len(row) != width:
+                    raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
                 key = (row[entity_col], period)
                 if key in rows:
-                    raise DataError(f"{path}:{reader.line_num}: duplicate (entity, period) "
-                                    f"pair {key}")
+                    raise DataError(f"{path}:{lineno}: duplicate (entity, period) pair {key}")
                 label = row[label_col] if label_col is not None else ""
                 rows[key] = ([row[c] for c in field_cols], label)
 
     final = len(args.inputs) - 1
-    entities = sorted({e for e, _ in rows})
-    for e in entities:
-        if (e, final) in rows and rows[(e, final)][1] == "":
-            raise DataError(f"entity {e!r} has no label on its final period")
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_id", "period_index"] + list(cfg.fields) + ["label"])
-        for e in entities:
-            for period in range(len(args.inputs)):
-                if (e, period) not in rows:
-                    continue
-                vals, label = rows[(e, period)]
-                writer.writerow([e, period] + vals + [label if period == final else ""])
-    print(f"wrote {args.out} ({len(entities)} entities, {len(rows)} rows)")
+    unlabeled = sorted(e for (e, period), (_, label) in rows.items()
+                       if period == final and label == "")
+    if unlabeled:
+        raise DataError(f"entity {unlabeled[0]!r} has no label on its final period")
+    write_rows(args.out, [ENTITY, PERIOD, *cfg.fields, LABEL],
+               ([e, period, *vals, label if period == final else ""]
+                for (e, period), (vals, label) in sorted(rows.items())))
+    print(f"wrote {args.out} ({len({e for e, _ in rows})} entities, {len(rows)} rows)")
     return 0
 
 
 def cmd_train(args, cfg):
     ds = _load_split(args.data, cfg)
     schema = build_schema(ds.train, cfg.schema_config())
-    model, trace = train(ds.train, schema, cfg.train, log_every=1)
+    with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
+        model, trace = train(ds.train, schema, cfg.train, log_every=1)
     save_checkpoint(model, args.out)
     trace_path = Path(args.out).with_suffix(".trace.csv")
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "train_acc"])
-        for epoch, loss, acc in trace:
-            writer.writerow([epoch, f"{loss:.8g}", f"{acc:.6g}"])
+    write_rows(trace_path, ["epoch", "mean_loss", "train_acc"],
+               ([epoch, f"{loss:.8g}", f"{acc:.6g}"] for epoch, loss, acc in trace))
     print(f"wrote {args.out} and {trace_path}")
     return 0
 
@@ -226,8 +207,7 @@ def cmd_explain(args, cfg):
     # the schema comes from the checkpoint, so only this entity's rows are read
     found = load_csv(args.data, cfg.schema_config(), entity=args.entity)
     if not found:
-        print(f"unknown entity id {args.entity!r}", file=sys.stderr)
-        return 1
+        raise DataError(f"unknown entity id {args.entity!r}")
     out = next(model.score(found))
     names = explain.channel_pattern_names(model.blocks, model.schema, eps)
     pred = int(out["y"][0].argmax())
@@ -326,15 +306,13 @@ def cmd_sweep(args, cfg):
     for v, run in zip(values, runs):
         ds = _load_split(args.data, run)
         schema = build_schema(ds.train, run.schema_config())
-        model, _ = train(ds.train, schema, run.train)
+        with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
+            model, _ = train(ds.train, schema, run.train)
         report = evaluate(model, ds.test)
         rows.append((v, report.acc, report.auc))
         print(f"{args.axis}={v}: acc={report.acc:.4f} auc={report.auc:.4f}")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.axis, "acc", "auc"])
-        for v, acc, auc_val in rows:
-            writer.writerow([v, f"{acc:.6g}", f"{auc_val:.6g}"])
+    write_rows(args.out, [args.axis, "acc", "auc"],
+               ([v, f"{acc:.6g}", f"{auc_val:.6g}"] for v, acc, auc_val in rows))
     print(f"wrote {args.out}")
     return 0
 
@@ -402,7 +380,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -16,10 +16,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+ENTITY, PERIOD, LABEL = "entity_id", "period_index", "label"  # the long format's own columns
 
 
 class DataError(ValueError):
@@ -138,15 +141,48 @@ def _checked_values(fields, row, path, lineno):
     return values
 
 
-@contextlib.contextmanager
-def csv_reader(fh, path):
-    """A csv.reader over ``fh``; a csv.Error in the block, such as a cell over
-    the csv module's field limit, leaves it as a DataError naming ``path:line``."""
-    reader = csv.reader(fh)
+def read_text(path):
+    """The text of ``path``; DataError naming the line of a byte that is not UTF-8."""
+    raw = Path(path).read_bytes()
     try:
-        yield reader
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+
+
+@contextlib.contextmanager
+def read_rows(path, required):
+    """The UTF-8 CSV file at ``path`` as ``(width, column, lines)``: its header's
+    width, name -> column map (a repeated name takes its last) and iterator of
+    (line number, row) over the non-blank rows. An empty file or a missing
+    ``required`` column is a DataError naming ``path``; a line the csv module
+    rejects (such as a cell over its field limit) or a byte that is not UTF-8,
+    in the header or in the caller's loop, is one naming ``path:line``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            for col in required:
+                if col not in header:
+                    raise DataError(f"{path}: missing required column {col!r}")
+            yield (len(header), {name: i for i, name in enumerate(header)},
+                   ((reader.line_num, row) for row in reader if row))
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            read_text(path)     # raises, naming the line
+            raise
+
+
+def write_rows(path, header, rows):
+    """Write ``header`` and then each of ``rows`` to the CSV file at ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, schema_config, entity=None):
@@ -154,37 +190,24 @@ def load_csv(path, schema_config, entity=None):
 
     Entities without ``time_span`` consecutive trailing periods are dropped
     (count logged); rows with non-numeric cells in numerical fields are
-    skipped with a line-level warning. A line the csv module rejects, a
-    short or long row, an infinite numeric cell, a bad multi-valued cell, a
-    non-integer label or a second row for an (entity, period) pair raises
-    DataError naming ``path:line``. Each step's values are keyed in
-    ``schema_config.fields`` order. Given an ``entity`` id, only that
-    entity's rows are checked; every other row is parsed and skipped.
+    skipped with a line-level warning. An empty file or a missing column
+    raises DataError naming ``path``; a byte that is not UTF-8, a line the
+    csv module rejects, a short or long row, an infinite numeric cell, a bad
+    multi-valued cell, a non-integer label or a second row for an (entity,
+    period) pair raises DataError naming ``path:line``. Each step's values
+    are keyed in ``schema_config.fields`` order. Given an ``entity`` id, only
+    that entity's rows are checked; every other row is parsed and skipped.
     """
     T = schema_config.time_span
     by_entity = {}
-    with open(path, newline="", encoding="utf-8") as fh, csv_reader(fh, path) as reader:
-        header = next(reader, None)
-        if header is None:
-            log.warning("empty csv file: %s", path)
-            return []
-        required = ["entity_id", "period_index", "label"] + list(schema_config.fields)
-        for col in required:
-            if col not in header:
-                raise DataError(f"missing required column {col!r} in {path}")
-        width = len(header)
-        column = {name: i for i, name in enumerate(header)}   # a repeated name takes its last
-        entity_col, period_col, label_col = (
-            column[c] for c in ("entity_id", "period_index", "label"))
+    with read_rows(path, [ENTITY, PERIOD, LABEL, *schema_config.fields]) as (width, column, lines):
+        entity_col, period_col, label_col = column[ENTITY], column[PERIOD], column[LABEL]
         fields = [(name, column[name], 2 if name in schema_config.multi_valued else
                    1 if name in schema_config.categorical else 0)
                   for name in schema_config.fields]
-        for row in reader:
-            if not row:                 # a blank line
-                continue
+        for lineno, row in lines:
             if entity is not None and (len(row) <= entity_col or row[entity_col] != entity):
                 continue
-            lineno = reader.line_num
             if len(row) != width:
                 raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
             try:
@@ -233,9 +256,7 @@ def load_csv(path, schema_config, entity=None):
 
 def write_csv(samples, path, schema_config):
     """Inverse of load_csv for valid sample lists."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_id", "period_index"] + list(schema_config.fields) + ["label"])
+    def rows():
         for s in samples:
             for t, step in enumerate(s.steps):
                 cells = [s.entity_id, t]
@@ -250,14 +271,16 @@ def write_csv(samples, path, schema_config):
                     else:
                         cells.append(v)
                 cells.append(s.label if t == len(s.steps) - 1 else "")
-                writer.writerow(cells)
+                yield cells
+    write_rows(path, [ENTITY, PERIOD, *schema_config.fields, LABEL], rows())
 
 
 def build_schema(train, schema_config):
     """Fit vocabularies and normalization statistics on the training split.
 
-    Zero-variance numerical fields are dropped with a warning. Standard
-    deviation uses the (n-1) sample convention.
+    Zero-variance numerical fields are dropped with a warning, and a schema
+    left with no field is a DataError. Standard deviation uses the (n-1)
+    sample convention.
     """
     if not train:
         raise DataError("cannot build a schema from an empty training split")
@@ -290,6 +313,8 @@ def build_schema(train, schema_config):
                 log.warning("numerical field %r has zero variance, dropped", name)
                 continue
             fields.append(FeatureField(name, "numerical", mean=mean, std=std))
+    if not fields:      # every configured field was dropped above, or none is configured
+        raise DataError(f"no usable field among the configured fields {schema_config.fields}")
     return fields
 
 

@@ -10,12 +10,13 @@ score factor into a T x N importance matrix whose top-K cells are reported.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .data import write_rows
 
 log = logging.getLogger(__name__)
 
@@ -164,20 +165,14 @@ def emit_reports(patterns, explanations, out_dir):
 
     if patterns:
         path = out_dir / "patterns.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "pattern", "weight"])
-            for pat in patterns:
-                writer.writerow([pat.rank, ",".join(pat.features), f"{pat.weight:.6g}"])
+        write_rows(path, ["rank", "pattern", "weight"],
+                   ([p.rank, ",".join(p.features), f"{p.weight:.6g}"] for p in patterns))
         written.append(path)
 
     for entity_id, (expl, E) in explanations.items():
         path = out_dir / f"explain_{entity_id}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "channel", "pattern", "score"])
-            for t, i, name, score in expl.entries:
-                writer.writerow([t, i, name, f"{score:.6g}"])
+        write_rows(path, ["time", "channel", "pattern", "score"],
+                   ([t, i, name, f"{score:.6g}"] for t, i, name, score in expl.entries))
         written.append(path)
         path = out_dir / f"heatmap_{entity_id}.svg"
         path.write_text(heatmap_svg(E), encoding="utf-8")

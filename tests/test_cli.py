@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,14 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_a_byte_that_is_not_utf8_is_a_config_error(self, tmp_path, data_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"fields = a\xff\n")
+        rc = main(["train", "--data", str(data_path), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {cfg}:1: byte 0xff is not UTF-8\n"
+
     def test_config_error_exit_code(self, tmp_path, data_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n")
@@ -292,6 +301,24 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "has label 2, outside [0, 2)" in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("fields", ["noise0", ""])
+    def test_no_usable_field_exits_one(self, tmp_path, capsys, fields):
+        samples = gen_synthetic_interaction(40, T=2, noise_fields=1, seed=0)
+        for s in samples:
+            for step in s.steps:
+                step["noise0"] = 1.0
+        data = tmp_path / "data.csv"
+        write_csv(samples, data, synthetic_schema_config(1, 2))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(with_line(f"fields = {fields}"))
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        configured = [fields] if fields else []
+        assert capsys.readouterr().err == (
+            f"error: no usable field among the configured fields {configured}\n")
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_eval_of_an_oversized_cell_names_its_line(self, tmp_path, config_path, data_path,
@@ -465,6 +492,42 @@ class TestExplainCommand:
                                    entity="nobody") == 1
         assert "unknown entity id 'nobody'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+class TestBadDataFile:
+    """A data file that is empty or holds a byte that is not UTF-8 stops every
+    command that reads it with one line naming the file."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, config_path, data_path):
+        cfg = parse_config(config_path)
+        schema = build_schema(cli._load_split(data_path, cfg).train, cfg.schema_config())
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
+        commands = {
+            "ingest": ["ingest", "--out", str(tmp_path / "o.csv"), "--in"],
+            "eval": ["eval", "--model", str(ckpt), "--data"],
+            "explain": ["explain", "--model", str(ckpt), "--out", str(tmp_path / "x"),
+                        "--entity", "s00000", "--data"]}
+        return lambda command, data: (commands[command] + [str(data)]
+                                      + ["--config", str(config_path)])
+
+    @pytest.mark.parametrize("command", ["ingest", "eval"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, argv, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"entity_id,period_index,x1,x2,noise0,label\n"
+                        b"e1,0,1,2,3,\n" b"e1,1,1,\xff,3,1\n")
+        assert main(argv(command, bad)) == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: byte 0xff is not UTF-8\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "eval", "explain"])
+    def test_an_empty_file_gives_one_message(self, tmp_path, argv, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        assert main(argv(command, empty)) == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty file\n"
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "x").exists()
 
 
 class TestScoringHoldsOneBatch:
@@ -685,8 +748,12 @@ class TestSweepCommand:
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(with_line("lr = 1e306"))
         monkeypatch.chdir(tmp_path)
-        rc = main(argv[:1] + ["--data", str(data_path), "--config", str(cfg)] + argv[1:])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv[:1] + ["--data", str(data_path), "--config", str(cfg)] + argv[1:])
         assert rc == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
+            str(w.message) for w in caught]
         err = capsys.readouterr().err
         assert re.fullmatch(r"training diverged: loss became non-finite at epoch \d+, "
                             r"batch \d+\n", err), err

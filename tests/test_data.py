@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -50,7 +51,19 @@ class TestLoadCsv:
 
     def test_empty_file(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv", "")
-        assert load_csv(path, basic_config) == []
+        with pytest.raises(DataError, match=r"d\.csv: empty file$"):
+            load_csv(path, basic_config)
+
+    @pytest.mark.parametrize("line", [1, 3, 2000])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, basic_config, line):
+        # line 2000 lies past the first chunk that the text layer decodes
+        rows = [b"entity_id,period_index,f1,f2,label"] + [
+            b"e%d,0,1.25,2.5,1" % i for i in range(2500)]
+        rows[line - 1] = rows[line - 1].replace(b",", b"\xe9,", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(DataError, match=rf"d\.csv:{line}: byte 0xe9 is not UTF-8$"):
+            load_csv(path, basic_config)
 
     def test_missing_column_named(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv", "entity_id,period_index,f1,label\na,0,1,\n")
@@ -210,6 +223,20 @@ def _same(a, b):
 
 
 class TestRoundTrip:
+    def test_write_csv_bytes(self, tmp_path):
+        """An empty number, a float that needs 17 digits, a category that needs
+        quoting and a two-name multi-valued cell; the label on the final row only."""
+        sample = SequencedSample("acme", [
+            {"x": math.nan, "sector": "bank", "segments": {"retail": 0.25, "corp": 0.75}},
+            {"x": 0.1, "sector": "bank, ltd", "segments": {"corp": 1.0}}], 1)
+        cfg = SchemaConfig(fields=["x", "sector", "segments"], categorical={"sector", "segments"},
+                           multi_valued={"segments"}, time_span=2)
+        path = tmp_path / "d.csv"
+        write_csv([sample], path, cfg)
+        assert path.read_bytes() == (b"entity_id,period_index,x,sector,segments,label\r\n"
+                                     b"acme,0,,bank,corp:0.75;retail:0.25,\r\n"
+                                     b'acme,1,0.10000000000000001,"bank, ltd",corp:1,1\r\n')
+
     def test_write_then_load(self, tmp_path, basic_config):
         samples = [
             SequencedSample("a", [{"f1": 1.0, "f2": 2.0}, {"f1": 1.5, "f2": 2.5},
@@ -326,6 +353,14 @@ class TestBuildSchema:
         samples = [SequencedSample("a", [{"x": 5.0, "y": 1.0}, {"x": 5.0, "y": 2.0}], 0)]
         schema = build_schema(samples, cfg)
         assert [f.name for f in schema] == ["y"]
+
+    @pytest.mark.parametrize("fields", [["x"], []])
+    def test_no_usable_field_rejected(self, fields):
+        cfg = SchemaConfig(fields=fields, time_span=2)
+        samples = [SequencedSample("a", [{"x": 5.0}, {"x": 5.0}], 0)]
+        with pytest.raises(DataError, match=re.escape(
+                f"no usable field among the configured fields {fields}")):
+            build_schema(samples, cfg)
 
     def test_empty_train_rejected(self, basic_config):
         with pytest.raises(DataError):

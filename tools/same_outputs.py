@@ -12,11 +12,16 @@ Three data sets are generated once, from this checkout's ``src`` and
   names are all unknown;
 - ``score``: the 4000-entity score_explain fixture of the benchmark.
 
+Each set is also written as one wide file per period, the input of
+``ingest``: an entity's label on each of its periods, every seventh entity
+without one of its non-final periods, and the rows of every other period
+in reverse order.
+
 Each checkout then runs the same commands on each set, in its own copy of
 the set's directory, as ``python -m crossnet.cli`` with its own ``src``
-first on the path: train, eval, eval --all, explain --static, explain
---entity, baseline --which lr, baseline --which zscore, sweep --axis rank
-and gradcheck. The numeric and score sets name five ``zscore_fields``; the
+first on the path: ingest, train, eval, eval --all, explain --static,
+explain --entity, baseline --which lr, baseline --which zscore, sweep
+--axis rank and gradcheck. The numeric and score sets name five ``zscore_fields``; the
 categorical set names none, so its zscore baseline exits 2. Every
 command's exit code and the sha256 of its stdout and stderr are compared,
 and so is the sha256 of every file left in the directory. One line is
@@ -28,6 +33,7 @@ differs, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import math
 import os
@@ -122,12 +128,30 @@ def sha(blob):
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_side(checkout, set_dir):
+def write_wide(set_dir, T):
+    """Write ``period<t>.csv`` for each period of the set's data.csv; return
+    the ingest command that reads them."""
+    with open(set_dir / "data.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    labels = {r[0]: r[-1] for r in rows if r[-1] != ""}
+    # every seventh entity lacks its period i % T, unless that is the final one
+    gaps = {(e, i % T) for i, e in enumerate(labels) if i % 7 == 0 and i % T < T - 1}
+    names = []
+    for t in range(T):
+        period = [[r[0]] + r[2:-1] + [labels[r[0]]] for r in rows
+                  if int(r[1]) == t and (r[0], t) not in gaps]
+        names.append(f"period{t}.csv")
+        data.write_rows(set_dir / names[-1], [header[0]] + header[2:-1] + [header[-1]],
+                        period[::-1] if t % 2 else period)
+    return ["ingest", "--in"] + names + ["--out", "ingested.csv", "--config", "run.cfg"]
+
+
+def run_side(checkout, set_dir, commands):
     """{output name: digest} for every command's rc, stdout and stderr and every file."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = {}
-    for argv in COMMANDS:
+    for argv in commands:
         name = " ".join(argv[:1] + [a for a in argv if a in NAMED])
         proc = subprocess.run([sys.executable, "-m", "crossnet.cli"] + argv, cwd=set_dir,
                               env=env, capture_output=True, timeout=1800)
@@ -158,7 +182,8 @@ def main(argv=None):
             set_dir.mkdir(parents=True)
             data.write_csv(samples, set_dir / "data.csv", schema_config)
             (set_dir / "run.cfg").write_text(config, encoding="utf-8")
-            digests[side] = run_side(getattr(args, side), set_dir)
+            ingest = write_wide(set_dir, schema_config.time_span)
+            digests[side] = run_side(getattr(args, side), set_dir, [ingest] + COMMANDS)
         names = sorted(set(digests["parent"]) | set(digests["change"]))
         diff = [n for n in names if digests["parent"].get(n) != digests["change"].get(n)]
         for n in diff:
