@@ -283,29 +283,6 @@ def slice_axis(a, axis, start, stop):
     return _record(out, lambda g, acc: acc(a, g, idx))
 
 
-def gather_rows(a, indices):
-    """Select rows of a 2-d tensor by an integer index array.
-
-    Every index must be in [0, rows): a negative one raises IndexError, as a
-    too-large one does, rather than counting from the end. Output shape is
-    ``indices.shape + (a.shape[1],)``; gradient scatters back with
-    accumulation, so repeated indices are handled correctly.
-    """
-    a = _as_tensor(a)
-    indices = np.asarray(indices, dtype=np.intp)
-    bad = indices[(indices < 0) | (indices >= a.shape[0])]
-    if bad.size:
-        raise IndexError(f"row index {bad[0]} out of range for {a.shape}")
-    out = Tensor(a.data[indices], (a,))
-
-    def _bw(g, acc):
-        full = np.zeros(a.shape)
-        np.add.at(full, indices.reshape(-1), g.reshape(-1, a.shape[1]))
-        acc(a, full)
-
-    return _record(out, _bw)
-
-
 def pad_axis(a, axis, before, after):
     """Zero-pad along one axis."""
     a = _as_tensor(a)

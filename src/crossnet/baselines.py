@@ -41,19 +41,13 @@ def flatten_samples(samples, schema):
     """Per raw entity: T * (numeric values + one-hot categoricals) feature vector.
 
     The values are ``data.encode``'s: standardized numbers with missing ones
-    at 0, a one-hot row of V + 1 slots (the last is OOV) per categorical
-    cell, and the V + 1 renormalized weights of a multi-valued cell.
+    at 0, and the V + 1 weights of a categorical cell (one-hot with the last
+    slot OOV, or a multi-valued cell's renormalized weights).
     """
     batch = encode(samples, schema)
     numeric = iter(batch.numeric)
-    columns = []
-    for f in schema:
-        if f.kind == "numerical":
-            columns.append(next(numeric)[:, :, None])
-        elif f.multi_valued:
-            columns.append(batch.categorical[f.name])
-        else:
-            columns.append(np.eye(len(f.vocab) + 1)[batch.categorical[f.name]])
+    columns = [next(numeric)[:, :, None] if f.kind == "numerical" else batch.categorical[f.name]
+               for f in schema]
     return np.concatenate(columns, axis=2).reshape(len(samples), -1)
 
 

@@ -47,11 +47,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
-        for name in self.multi_valued:
-            if name not in self.categorical:
-                raise ValueError(f"multi_valued field {name!r} is not a listed categorical field")
+        self.schema_config()    # checks the field kinds
         for name in self.zscore_fields:
-            if name not in self.fields or name in self.categorical + self.multi_valued:
+            if name not in self.fields or name in self.categorical:
                 raise ValueError(f"zscore field {name!r} is not a listed numerical field")
 
     def schema_config(self):

@@ -37,6 +37,16 @@ class SchemaConfig:
     multi_valued: set[str] = field(default_factory=set)
     time_span: int = 5
 
+    def __post_init__(self):
+        """Reject a multi-valued field that is not categorical, or a categorical
+        one that is not among ``fields``: ValueError naming the field."""
+        for name in sorted(self.multi_valued):
+            if name not in self.categorical:
+                raise ValueError(f"multi_valued field {name!r} is not a listed categorical field")
+        for name in sorted(self.categorical):
+            if name not in self.fields:
+                raise ValueError(f"categorical field {name!r} is not a listed field")
+
 
 @dataclass
 class FeatureField:
@@ -58,6 +68,8 @@ class FeatureField:
         if not finite or self.std <= 0 or not isinstance(self.multi_valued, bool):
             raise ValueError(f"field {self.name!r} needs a finite mean, a finite std > 0 "
                              f"and a bool multi_valued")
+        if self.multi_valued and self.kind != "categorical":
+            raise ValueError(f"numerical field {self.name!r} cannot be multi_valued")
 
     @property
     def oov_index(self):
@@ -339,8 +351,10 @@ class EncodedBatch:
 
     ``numeric`` is [n_num, B, T]: one standardized [B, T] array per
     numerical field, in schema order. ``categorical`` maps each categorical
-    field to its [B, T] vocab indices, or a multi-valued one to its
-    [B, T, V + 1] weights (the OOV column stays 0).
+    field to its [B, T, V + 1] float64 weight rows, one per cell: one-hot for
+    a single-valued cell (an unseen category at the OOV column V), and the
+    renormalized known weights for a multi-valued one (its OOV column stays
+    0). A categorical cell so costs 8 * (V + 1) bytes.
     """
     numeric: np.ndarray
     categorical: dict
@@ -357,9 +371,10 @@ def _items(keys):
 def encode(samples, schema):
     """The embedding's input arrays for a batch of raw samples, in one pass.
 
-    Numbers are standardized, a missing one imputed with the mean (so 0);
-    categories take their vocab index, an unseen one the OOV index; and
-    multi-valued weights are renormalized over the known categories.
+    Numbers are standardized, a missing one imputed with the mean (so 0); a
+    category becomes the one-hot row of its vocab index, an unseen one of the
+    OOV index; and multi-valued weights are renormalized over the known
+    categories.
     """
     B, T = len(samples), len(samples[0].steps)
     for s in samples:
@@ -377,28 +392,26 @@ def encode(samples, schema):
     categorical = {}
     for f, cells in columns:
         index = f.vocab_index
-        if not f.multi_valued:
-            oov = f.oov_index
-            categorical[f.name] = np.array([index.get(v, oov) for v in cells], dtype=np.intp)
-            continue
-        rows, cols, weights, known = [], [], [], []
-        for i, cell in enumerate(cells):
-            total = 0.0
-            for name, w in cell.items():
-                j = index.get(name)
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    weights.append(w)
-                    total += w
-            known.append(total)
         probs = np.zeros((len(cells), len(f.vocab) + 1))
-        probs[rows, cols] = weights
-        known = np.array(known)[:, None]
-        categorical[f.name] = np.divide(probs, known, out=probs, where=known > 0)
-    return EncodedBatch(np.ascontiguousarray(values.T).reshape(-1, B, T),
-                        {name: a.reshape((B, T) + a.shape[1:])
-                         for name, a in categorical.items()})
+        if not f.multi_valued:
+            probs[np.arange(len(cells)), [index.get(v, f.oov_index) for v in cells]] = 1.0
+        else:
+            rows, cols, weights, known = [], [], [], []
+            for i, cell in enumerate(cells):
+                total = 0.0
+                for name, w in cell.items():
+                    j = index.get(name)
+                    if j is not None:
+                        rows.append(i)
+                        cols.append(j)
+                        weights.append(w)
+                        total += w
+                known.append(total)
+            probs[rows, cols] = weights
+            known = np.array(known)[:, None]
+            np.divide(probs, known, out=probs, where=known > 0)
+        categorical[f.name] = probs.reshape(B, T, -1)
+    return EncodedBatch(np.ascontiguousarray(values.T).reshape(-1, B, T), categorical)
 
 
 def split(samples, ratio, seed):

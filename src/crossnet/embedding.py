@@ -1,9 +1,10 @@
 """Projection of mixed-type fields into a shared d-dimensional space.
 
-Categorical fields get a lookup table with one extra OOV row; numerical
-fields get one trainable basis vector each and are embedded by scalar
-multiplication. The result for a sample is the first-rank feature tensor
-of shape [T, n1, d] (batched: [B, T, n1, d]). The input is the arrays of
+Categorical fields get a table with one extra OOV row, and each cell's
+[V + 1] weight row (one-hot, or a multi-valued cell's weights) is embedded
+by one matmul into it; numerical fields get one trainable basis vector each
+and are embedded by scalar multiplication. The result for a sample is the
+first-rank feature tensor of shape [T, n1, d] (batched: [B, T, n1, d]). The input is the arrays of
 a ``data.EncodedBatch``, which ``data.encode`` builds from raw samples.
 """
 
@@ -55,12 +56,9 @@ class EmbeddingLayer:
             batch = encode(batch, self.schema)
         per_field = []
         for f in self.schema:
-            if f.kind == "categorical" and f.multi_valued:
+            if f.kind == "categorical":
                 per_field.append(ad.matmul(Tensor(batch.categorical[f.name]),
                                            self.tables[f.name]))
-            elif f.kind == "categorical":
-                per_field.append(ad.gather_rows(self.tables[f.name],
-                                                batch.categorical[f.name]))
             else:
                 i = self.basis_rows[f.name]
                 row = ad.slice_axis(self.basis, 0, i, i + 1)

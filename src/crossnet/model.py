@@ -232,14 +232,21 @@ class Model:
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
         batch, in order. ``no_grad`` ends before each yield, so it is never
-        held while the caller runs.
+        held while the caller runs. Finite parameters can still overflow in
+        the forward pass: a ValueError names the first entity of a batch
+        with a non-finite value in any of the four arrays.
         """
         size = self.score_batch
         for start in range(0, len(samples), size):
-            with ad.no_grad():
+            with ad.no_grad(), np.errstate(all="ignore"):
                 fwd = self.forward(samples[start:start + size])
             # keep only the four arrays across the yield, not the rank stack
             fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
+            finite = np.isfinite(np.hstack(tuple(fwd.values()))).all(axis=1)
+            if not finite.all():
+                bad = samples[start + int(finite.argmin())]
+                raise ValueError(f"entity {bad.entity_id!r} scores non-finite: the model's "
+                                 f"forward pass overflows")
             yield fwd
 
 

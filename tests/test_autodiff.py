@@ -177,18 +177,6 @@ class TestStructuralOps:
         finite_diff_check(lambda: ad.tsum(ad.power(ad.concat([a, b], axis=1), 2.0)),
                           [a, b])
 
-    def test_gather_rows_repeated_indices(self):
-        table = ad.Param(np.arange(6.0).reshape(3, 2), name="t")
-        out = ad.gather_rows(table, np.array([1, 1, 0]))
-        np.testing.assert_array_equal(out.data, [[2, 3], [2, 3], [0, 1]])
-        ad.backward(ad.tsum(out))
-        np.testing.assert_array_equal(table.grad, [[1, 1], [2, 2], [0, 0]])
-
-    def test_gather_out_of_range(self):
-        table = ad.Param(np.zeros((3, 2)), name="t")
-        with pytest.raises(IndexError):
-            ad.gather_rows(table, np.array([3]))
-
     def test_pad_and_slice_gradient(self):
         rng = np.random.default_rng(10)
         a = ad.Param(rng.normal(size=(2, 3, 2)), name="a")
@@ -225,8 +213,8 @@ def test_determinism():
     np.testing.assert_array_equal(g1, g2)
 
 
-def every_op(x, y, rows):
-    """Each op of the module once; x [2, 3] > 0, y [3, 3], rows [4, 3]."""
+def every_op(x, y):
+    """Each op of the module once; x [2, 3] > 0, y [3, 3]."""
     return [
         ad.add(x, 1.0), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, y),
         ad.sigmoid(x), ad.tanh(x), ad.relu(x), ad.leaky_relu(x),
@@ -234,8 +222,7 @@ def every_op(x, y, rows):
         ad.tsum(x), ad.tsum(x, axis=1, keepdims=True), ad.tmean(x),
         ad.softmax(x), ad.reshape(x, (3, 2)), ad.transpose(x, (1, 0)),
         ad.concat([x, x], axis=0), ad.stack([x, x], axis=1),
-        ad.slice_axis(x, 1, 0, 2), ad.gather_rows(rows, [0, 3, 0]),
-        ad.pad_axis(x, 0, 1, 2),
+        ad.slice_axis(x, 1, 0, 2), ad.pad_axis(x, 0, 1, 2),
     ]
 
 
@@ -243,24 +230,23 @@ class TestNoGrad:
     def inputs(self):
         rng = np.random.default_rng(3)
         return (ad.Param(rng.uniform(0.1, 1.0, size=(2, 3)), name="x"),
-                ad.Param(rng.normal(size=(3, 3)), name="y"),
-                ad.Param(rng.normal(size=(4, 3)), name="rows"))
+                ad.Param(rng.normal(size=(3, 3)), name="y"))
 
     def test_every_op_records_nothing_and_computes_the_same(self):
-        x, y, rows = self.inputs()
-        graph = every_op(x, y, rows)
+        x, y = self.inputs()
+        graph = every_op(x, y)
         with ad.no_grad():
-            bare = every_op(x, y, rows)
+            bare = every_op(x, y)
         assert all(t._parents for t in graph)
         for g, b in zip(graph, bare):
             assert b._parents == () and b._backward is None
             np.testing.assert_array_equal(b.data, g.data)
 
     def test_forward_graph_is_freed_without_the_collector(self):
-        x, y, rows = self.inputs()
+        x, y = self.inputs()
         gc.collect()
         with ad.no_grad():
-            out = every_op(x, y, rows)
+            out = every_op(x, y)
         del out
         assert gc.collect() == 0
 
@@ -397,12 +383,6 @@ def _slice(data):
     return (lambda: ad.slice_axis(x, axis, start, stop)), [x]
 
 
-def _gather(data):
-    table = _param(data, (data.draw(_DIM), data.draw(_DIM)), "table")
-    idx = data.draw(hnp.arrays(np.intp, _shape(data), elements=st.integers(0, table.shape[0] - 1)))
-    return (lambda: ad.gather_rows(table, idx)), [table]
-
-
 def _pad(data):
     x = _param(data, _shape(data), "x")
     axis = _axis(data, x.ndim)
@@ -418,7 +398,7 @@ OPS = {
     "power": _unary(lambda x: ad.power(x, 3.0)), "clip": _unary(lambda x: ad.clip(x, -1.0, 1.0)),
     "tsum": _tsum, "tmean": _tmean, "softmax": _softmax, "reshape": _reshape,
     "transpose": _transpose, "concat": _concat, "stack": _stack, "slice_axis": _slice,
-    "gather_rows": _gather, "pad_axis": _pad,
+    "pad_axis": _pad,
 }
 
 

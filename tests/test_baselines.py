@@ -58,13 +58,8 @@ def reference_flatten(samples, schema):
                 v = step[f.name]
                 if f.kind == "numerical":
                     vec.append(v)
-                elif f.multi_valued:
-                    vec.extend(v)
-                    vec.append(0.0)   # OOV slot
                 else:
-                    onehot = [0.0] * (len(f.vocab) + 1)
-                    onehot[v] = 1.0
-                    vec.extend(onehot)
+                    vec.extend(v)     # V + 1 slots, the last OOV
         rows.append(vec)
     return np.array(rows, dtype=np.float64)
 

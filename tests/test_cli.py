@@ -170,6 +170,19 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_categorical_field_must_be_listed(self, tmp_path, data_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_line("categorical = sectr"))
+        with pytest.raises(ConfigError, match="categorical field 'sectr' is not a listed field"):
+            parse_config(p)
+        # refused before the data, whose rows have no sectr column to warn about
+        rc = main(["train", "--data", str(data_path), "--config", str(p),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_a_byte_that_is_not_utf8_is_a_config_error(self, tmp_path, data_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"fields = a\xff\n")
@@ -775,6 +788,42 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+
+class TestNonFiniteScores:
+    """A model whose parameters stay finite while its forward pass overflows
+    (one epoch at lr = 1e306) is refused where it is scored, in one line."""
+
+    CONFIG = ("fields = x1, x2\nT = 2\nd = 4\nrank_widths = 3\nh = 5\ns = 1\n"
+              "epochs = 1\nlr = 1e306\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "rank", "--values", "1,2"],
+        ["eval", "--model", "m.ckpt"],
+        ["explain", "--model", "m.ckpt", "--out", "expl", "--static"],
+        ["explain", "--model", "m.ckpt", "--out", "expl", "--entity", "s00000"],
+    ], ids=["sweep", "eval", "static", "entity"])
+    def test_scoring_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        data, cfg = tmp_path / "data.csv", tmp_path / "huge.cfg"
+        write_csv(gen_synthetic_interaction(40, T=2, noise_fields=0, seed=0), data,
+                  synthetic_schema_config(0, 2))
+        cfg.write_text(self.CONFIG)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] != "sweep":
+            assert main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", "m.ckpt"]) == 0
+            capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv[:1] + ["--data", str(data), "--config", str(cfg)] + argv[1:])
+        assert rc == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
+            str(w.message) for w in caught]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: entity 's\d{5}' scores non-finite: the model's "
+                            r"forward pass overflows\n", err), err
+        assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "expl").exists()
 
 
 class TestNonFiniteCheckpoint:

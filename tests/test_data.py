@@ -325,6 +325,22 @@ def _schema_cases(draw):
                                  multi_valued={"m"}, time_span=T)
 
 
+class TestSchemaConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fields": ["m"], "multi_valued": {"m"}},
+         "multi_valued field 'm' is not a listed categorical field"),
+        ({"fields": ["x", "sector"], "categorical": {"sectr"}},
+         "categorical field 'sectr' is not a listed field"),
+    ], ids=["multi-valued-numerical", "categorical-unlisted"])
+    def test_a_field_of_the_wrong_kind_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SchemaConfig(**kwargs)
+
+    def test_a_multi_valued_numerical_field_is_rejected(self):
+        with pytest.raises(ValueError, match="numerical field 'x' cannot be multi_valued"):
+            FeatureField("x", "numerical", multi_valued=True)
+
+
 class TestBuildSchema:
     @settings(max_examples=200, deadline=None)
     @given(_schema_cases())
@@ -371,9 +387,10 @@ def normalize_ref(sample, schema):
     """The per-cell normalization that ``encode`` replaced: the reference.
 
     Numbers are standardized, a missing one imputed with the mean (0);
-    a category becomes its vocab index, an unseen one the OOV index; a
-    multi-valued cell becomes its V weights renormalized over the known
-    names (all 0 when none is known).
+    a category becomes the one-hot list of its V + 1 slots, an unseen one
+    at the OOV slot; a multi-valued cell becomes its V + 1 weights
+    renormalized over the known names (all 0 when none is known, and the
+    OOV slot always 0).
     """
     steps = []
     for step in sample.steps:
@@ -386,7 +403,7 @@ def normalize_ref(sample, schema):
                 else:
                     out[f.name] = (v - f.mean) / f.std
             elif f.multi_valued:
-                probs = [0.0] * len(f.vocab)
+                probs = [0.0] * (len(f.vocab) + 1)
                 known = 0.0
                 for name, w in v.items():
                     if name in f.vocab:
@@ -394,7 +411,9 @@ def normalize_ref(sample, schema):
                         known += w
                 out[f.name] = [p / known for p in probs] if known > 0 else probs
             else:
-                out[f.name] = f.vocab.index(v) if v in f.vocab else f.oov_index
+                onehot = [0.0] * (len(f.vocab) + 1)
+                onehot[f.vocab.index(v) if v in f.vocab else f.oov_index] = 1.0
+                out[f.name] = onehot
         steps.append(out)
     return SequencedSample(sample.entity_id, steps, sample.label)
 
@@ -408,13 +427,8 @@ def gather_ref(samples, schema):
 
     numeric = np.array([cells(f) for f in schema if f.kind == "numerical"],
                        dtype=np.float64).reshape(-1, B, T)
-    categorical = {}
-    for f in schema:
-        if f.kind == "categorical" and f.multi_valued:
-            categorical[f.name] = np.zeros((B, T, len(f.vocab) + 1))
-            categorical[f.name][:, :, :-1] = cells(f)
-        elif f.kind == "categorical":
-            categorical[f.name] = np.array(cells(f), dtype=np.intp)
+    categorical = {f.name: np.array(cells(f), dtype=np.float64)
+                   for f in schema if f.kind == "categorical"}
     return EncodedBatch(numeric, categorical)
 
 
@@ -430,7 +444,7 @@ class TestNormalize:
         _, schema, _ = self.make()
         out = encode([SequencedSample("z", [{"x": schema[0].mean, "c": "p"}], 0)], schema)
         assert out.numeric[0, 0, 0] == 0.0
-        assert out.categorical["c"][0, 0] == 0
+        assert out.categorical["c"][0, 0].tolist() == [1.0, 0.0, 0.0]
 
     def test_mean_plus_std_maps_to_one(self):
         _, schema, _ = self.make()
@@ -441,7 +455,8 @@ class TestNormalize:
     def test_unseen_category_maps_to_oov(self):
         _, schema, _ = self.make()
         s = SequencedSample("z", [{"x": 0.0, "c": "zz"}], 0)
-        assert encode([s], schema).categorical["c"][0, 0] == schema[1].oov_index == 2
+        assert schema[1].oov_index == 2
+        assert encode([s], schema).categorical["c"][0, 0].tolist() == [0.0, 0.0, 1.0]
 
     def test_normalize_returns_its_argument(self):
         _, schema, train = self.make()
@@ -533,7 +548,8 @@ class TestEncode:
         schema, samples = SPECIAL_CELLS
         got = encode(samples, schema)
         assert got.numeric.tolist() == [[[0.0, 0.0, 2.0]]]
-        assert got.categorical["c"].tolist() == [[2, 1, 0]]
+        assert got.categorical["c"].tolist() == [[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                                  [1.0, 0.0, 0.0]]]
         assert got.categorical["m"].tolist() == [[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                                                   [0.25, 0.75, 0.0]]]
 

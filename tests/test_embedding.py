@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossnet import autodiff as ad
 from crossnet.autodiff import Tensor
 from crossnet.data import EncodedBatch, FeatureField, SequencedSample, encode
 from crossnet.embedding import EmbeddingLayer
 
-from test_data import normalize_ref
+from test_data import _NAMES, normalize_ref
 
 # the numerical fields below have mean 0 and std 1, so encode keeps their values
 
@@ -74,17 +75,76 @@ class TestEmbedCategorical:
                                           embed_step(single, {"c": name}))
 
     def test_out_of_range(self):
+        # a weight row with a slot past the OOV one has no table row to weigh
         layer = categorical_layer(np.zeros((3, 2)))
-        batch = EncodedBatch(np.zeros((0, 1, 1)), {"c": np.array([[3]], dtype=np.intp)})
-        with pytest.raises(IndexError):
+        batch = EncodedBatch(np.zeros((0, 1, 1)), {"c": np.zeros((1, 1, 4))})
+        with pytest.raises(ad.ShapeError, match="inner extents differ"):
             layer.embed_batch(batch)
 
-    def test_negative_index_is_out_of_range(self):
-        # -1 would otherwise read the last row of the table, the OOV row
+    def test_a_row_without_the_oov_column_is_rejected(self):
+        # a [B, T, V] row would otherwise be read against the first V table rows
         layer = categorical_layer(np.zeros((3, 2)))
-        batch = EncodedBatch(np.zeros((0, 1, 2)), {"c": np.array([[0, -1]], dtype=np.intp)})
-        with pytest.raises(IndexError, match="row index -1 out of range"):
+        batch = EncodedBatch(np.zeros((0, 1, 1)), {"c": np.ones((1, 1, 2))})
+        with pytest.raises(ad.ShapeError, match="inner extents differ"):
             layer.embed_batch(batch)
+
+
+def single_valued_layer_and_raw(vocab, cells, seed=0):
+    """A ``categorical_layer`` over ``vocab`` with a random d = 3 table, and one
+    raw sample per row of ``cells`` (its categories, one per period)."""
+    table = np.random.default_rng(seed).normal(size=(len(vocab) + 1, 3))
+    raw = [SequencedSample(f"e{b}", [{"c": v} for v in row], 0) for b, row in enumerate(cells)]
+    return categorical_layer(table, vocab=vocab), raw
+
+
+def scatter_table_grad(table, vocab, cells, g):
+    """The table gradient of a per-cell row lookup, as the lookup op that the
+    one-hot form replaced accumulated it: g's [d] vector of each cell is added
+    into its category's row (an unseen one's into the OOV row) in cell order."""
+    index = np.array([[vocab.index(v) if v in vocab else len(vocab) for v in row]
+                      for row in cells], dtype=np.intp)
+    full = np.zeros(table.shape)
+    np.add.at(full, index.reshape(-1), g.reshape(-1, table.shape[1]))
+    return full
+
+
+class TestOneHotForm:
+    """A single-valued cell is a one-hot weight row, so embedding it reads its
+    category's table row and its gradient goes back to that row alone."""
+
+    # repeated categories, and one the vocabulary does not hold
+    CELLS = [["b", "a", "b"], ["zz", "b", "a"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_embedding_is_the_table_row_of_the_vocab_index(self, data):
+        vocab = sorted(data.draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True)))
+        B, T = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        name = st.sampled_from(vocab) | _NAMES
+        cells = [[data.draw(name) for _ in range(T)] for _ in range(B)]
+        layer, raw = single_valued_layer_and_raw(vocab, cells, seed=data.draw(st.integers(0, 9)))
+        table = layer.tables["c"].data
+        index = [[vocab.index(v) if v in vocab else len(vocab) for v in row] for row in cells]
+        assert np.array_equal(layer.embed_batch(raw).data[:, :, 0], table[index])
+
+    def test_gradcheck_through_embed_batch(self):
+        layer, raw = single_valued_layer_and_raw(["a", "b", "c"], self.CELLS)
+        weights = Tensor(np.random.default_rng(1).normal(size=(2, 3, 1, 3)))
+
+        def f():
+            return ad.tsum(ad.power(ad.mul(layer.embed_batch(raw), weights), 2.0))
+
+        report = ad.grad_check(f, layer.params(), step=1e-5, tol=1e-6)
+        assert report["ok"], report
+
+    def test_table_gradient_is_the_scatter_of_the_output_gradient(self):
+        vocab = ["a", "b", "c"]
+        layer, raw = single_valued_layer_and_raw(vocab, self.CELLS)
+        g = np.random.default_rng(2).normal(size=(2, 3, 1, 3))
+        ad.backward(ad.tsum(ad.mul(layer.embed_batch(raw), Tensor(g))))
+        want = scatter_table_grad(layer.tables["c"].data, vocab, self.CELLS, g)
+        np.testing.assert_allclose(layer.tables["c"].grad, want, rtol=1e-12, atol=0)
+        assert not want[2].any()    # "c" occurs in no cell
 
 
 class TestEmbedNumerical:
@@ -158,16 +218,9 @@ def reference_embed_batch(layer, samples):
     T = len(samples[0].steps)
     per_field = []
     for f in layer.schema:
-        if f.kind == "categorical" and f.multi_valued:
-            probs = np.zeros((B, T, len(f.vocab) + 1))
-            for b, s in enumerate(samples):
-                for t, step in enumerate(s.steps):
-                    probs[b, t, :len(f.vocab)] = step[f.name]
-            per_field.append(ad.matmul(Tensor(probs), layer.tables[f.name]))
-        elif f.kind == "categorical":
-            idx = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples],
-                           dtype=np.intp)
-            per_field.append(ad.gather_rows(layer.tables[f.name], idx))
+        if f.kind == "categorical":
+            rows = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples])
+            per_field.append(ad.matmul(Tensor(rows), layer.tables[f.name]))
         else:
             vals = np.array([[s.steps[t][f.name] for t in range(T)] for s in samples])
             row = ad.slice_axis(layer.basis, 0, layer.basis_rows[f.name],

@@ -506,10 +506,12 @@ class TestCheckpoint:
         (lambda s: [{**s[0], "mean": "0"}] + s[1:], None),
         (lambda s: [{**s[0], "std": 0}] + s[1:], None),
         (lambda s: [{**s[0], "kind": "categorical"}] + s[1:], None),
+        (lambda s: [{**s[0], "multi_valued": True}] + s[1:], None),
     ], ids=["config-extra-key", "config-list", "config-str-int", "config-missing-key",
             "config-int-widths", "config-top-k-0", "config-bool-lr", "schema-extra-key",
             "schema-object", "schema-empty", "schema-field-not-in-list", "schema-bad-kind",
-            "schema-str-mean", "schema-zero-std", "schema-categorical-without-vocab"])
+            "schema-str-mean", "schema-zero-std", "schema-categorical-without-vocab",
+            "schema-multi-valued-numerical"])
     def test_malformed_header_rejected(self, tmp_path, schema, config):
         _, path = self.saved(tmp_path)
         self.rewrite_header(path, schema, config)

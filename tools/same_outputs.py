@@ -9,7 +9,10 @@ Three data sets are generated once, from this checkout's ``src`` and
 - ``categorical``: 300 entities, T=3, four numeric fields, a categorical
   ``sector`` and a multi-valued ``segments``, with categories that only a
   few entities have (so unseen in training) and multi-valued cells whose
-  names are all unknown;
+  names are all unknown. The first entity of the test split, as the
+  commands split the set, gets an unseen ``sector`` and a ``segments``
+  cell of no known name in its final period, and ``explain --entity`` also
+  runs on it, so the OOV rows are compared at B=1 too;
 - ``score``: the 4000-entity score_explain fixture of the benchmark.
 
 Each set is also written as one wide file per period, the input of
@@ -66,7 +69,7 @@ def numeric_set(seed=11):
                     step[name] = math.nan
     fields = list(samples[0].steps[0])
     return samples, data.SchemaConfig(fields=fields, time_span=3), (
-        f"fields = {', '.join(fields)}\n{SMALL}{ZSCORE}seed = {seed}\nratio = 0.7\n")
+        f"fields = {', '.join(fields)}\n{SMALL}{ZSCORE}seed = {seed}\nratio = 0.7\n"), []
 
 
 def categorical_set(seed=12):
@@ -80,11 +83,14 @@ def categorical_set(seed=12):
             step["segments"] = ({f"unseen{i}": 1.0} if rng.random() < 0.03 else
                                 {f"seg{a}": 1.0} if a == b else
                                 {f"seg{a}": 0.25, f"seg{b}": 0.75})
+    oov = data.split(samples, 0.7, seed).test[0]
+    oov.steps[-1].update(sector="unseen", segments={"unknown": 1.0})
     fields = list(samples[0].steps[0])
     return samples, data.SchemaConfig(
         fields=fields, categorical={"sector", "segments"}, multi_valued={"segments"},
         time_span=3), (f"fields = {', '.join(fields)}\ncategorical = sector, segments\n"
-                       f"multi_valued = segments\n{SMALL}seed = {seed}\nratio = 0.7\n")
+                       f"multi_valued = segments\n{SMALL}seed = {seed}\nratio = 0.7\n"), [
+        explain_entity("oov", oov.entity_id)]
 
 
 def score_set(seed=3):
@@ -99,7 +105,12 @@ def score_set(seed=3):
         f"fields = {', '.join(fields)}\ncategorical = sector, segments\n"
         f"multi_valued = segments\nT = {c['T']}\nd = {c['d']}\n"
         f"rank_widths = {', '.join(map(str, c['rank_widths']))}\ns = {c['s']}\n"
-        f"h = {c['h']}\nk = {c['k']}\nepochs = 1\n{ZSCORE}seed = {seed}\nratio = 0.7\n")
+        f"h = {c['h']}\nk = {c['k']}\nepochs = 1\n{ZSCORE}seed = {seed}\nratio = 0.7\n"), []
+
+
+def explain_entity(out, entity):
+    return ["explain", "--data", "data.csv", "--model", "model.ckpt", "--config", "run.cfg",
+            "--out", out, "--entity", entity]
 
 
 SETS = {"numeric": numeric_set, "categorical": categorical_set, "score": score_set}
@@ -110,8 +121,7 @@ COMMANDS = [
     ["eval", "--data", "data.csv", "--model", "model.ckpt", "--config", "run.cfg", "--all"],
     ["explain", "--data", "data.csv", "--model", "model.ckpt", "--config", "run.cfg",
      "--out", "static", "--static"],
-    ["explain", "--data", "data.csv", "--model", "model.ckpt", "--config", "run.cfg",
-     "--out", "entity", "--entity", ENTITY],
+    explain_entity("entity", ENTITY),
     ["baseline", "--data", "data.csv", "--config", "run.cfg", "--which", "lr"],
     ["baseline", "--data", "data.csv", "--config", "run.cfg", "--which", "zscore"],
     ["sweep", "--data", "data.csv", "--config", "run.cfg", "--axis", "rank",
@@ -120,7 +130,7 @@ COMMANDS = [
 ]
 
 
-# the arguments that, after the command, name each output
+# the arguments that, after the command, name each output, with --entity's value
 NAMED = ("--all", "--static", "--entity", "lr", "zscore")
 
 
@@ -152,7 +162,8 @@ def run_side(checkout, set_dir, commands):
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = {}
     for argv in commands:
-        name = " ".join(argv[:1] + [a for a in argv if a in NAMED])
+        name = " ".join(argv[:1] + [a for i, a in enumerate(argv)
+                                    if a in NAMED or argv[i - 1] == "--entity"])
         proc = subprocess.run([sys.executable, "-m", "crossnet.cli"] + argv, cwd=set_dir,
                               env=env, capture_output=True, timeout=1800)
         out[f"{name}: exit code"] = str(proc.returncode)
@@ -175,7 +186,7 @@ def main(argv=None):
         shutil.rmtree(work / side, ignore_errors=True)
     differences = 0
     for set_name, make_set in SETS.items():
-        samples, schema_config, config = make_set()
+        samples, schema_config, config, extra = make_set()
         digests = {}
         for side in SIDES:
             set_dir = work / side / set_name
@@ -183,7 +194,7 @@ def main(argv=None):
             data.write_csv(samples, set_dir / "data.csv", schema_config)
             (set_dir / "run.cfg").write_text(config, encoding="utf-8")
             ingest = write_wide(set_dir, schema_config.time_span)
-            digests[side] = run_side(getattr(args, side), set_dir, [ingest] + COMMANDS)
+            digests[side] = run_side(getattr(args, side), set_dir, [ingest] + COMMANDS + extra)
         names = sorted(set(digests["parent"]) | set(digests["change"]))
         diff = [n for n in names if digests["parent"].get(n) != digests["change"].get(n)]
         for n in diff:
