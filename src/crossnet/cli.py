@@ -170,6 +170,10 @@ def cmd_train(args, cfg):
     schema = build_schema(ds.train, cfg.schema_config())
     with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
         model, trace = train(ds.train, schema, cfg.train, log_every=1)
+    # the last update can leave every parameter finite and the forward pass
+    # overflowing; scoring raises ValueError on that before anything is saved
+    for _ in model.score(ds.train):
+        pass
     save_checkpoint(model, args.out)
     trace_path = Path(args.out).with_suffix(".trace.csv")
     write_rows(trace_path, ["epoch", "mean_loss", "train_acc"],

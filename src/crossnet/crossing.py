@@ -162,6 +162,68 @@ def _sign_split_mix(xp, x1, scale, w_pca):
     return mixed.reshape(B, R, c_o)
 
 
+def _sign_split_grad(Gt, x, scale, w_pca):
+    """Backward of ``cross_block(X, X, a, w_pca)`` without building L or dP.
+
+    Gt [B, c_o, R] is the upstream gradient and x [B, R, n] the input.
+    Returns the gradients of w_pca, of a and of X as [B, R, n].
+    With P and F as in ``_sign_split_mix``, L[m, k] = Σ_s P[s, m] F[s, k], and
+    F = A P for A = [[1, 0.1], [0.1, 1]], so L = Pᵀ A P is symmetric. So with
+    Z = G ⊗ P, as [2R, c_o·n], the GEMM Zᵀ F is M = Lᵀ G, as [c_o·n, n], and
+    the GEMM D = Z (W_b + W_b with m and k swapped) gives
+    dX = (0.1 + 0.9·[x > 0])·D_0 + (0.1 + 0.9·[x < 0])·D_1, which keeps
+    lrelu'(0) = 0.1. Each chunk of samples is the two GEMMs; a chunk of Z, P,
+    F, D, both weights and M together holds about ``_CHUNK_BYTES``. The
+    w_pca gradient adds the samples' terms in order, so no sum depends on
+    the chunks.
+    """
+    B, R, n = x.shape
+    c_o = w_pca.shape[1]
+    G = Gt.transpose(0, 2, 1)
+    w = np.ascontiguousarray(w_pca.T).reshape(c_o, n, n)          # [c_o, m, k]
+    s = scale.reshape(B, 1, n, n)
+    step = _chunk_step(2 * R * c_o * n, 6 * R * n, 3 * c_o * n * n)
+    b = min(step, B)
+    Z = np.empty((b, 2, R, c_o, n))
+    P = np.empty((b, 2, R, n))              # P, then the slopes of F
+    F = np.empty((b, 2, R, n))
+    D = np.empty((b, 2, R, n))
+    W = np.empty((b, c_o, n, n))            # W_b, then M ⊙ w
+    Ws = np.empty((b, c_o, n, n))
+    M = np.empty((b, c_o, n, n))
+    dw = np.zeros((c_o, n, n))
+    da = np.empty((B, n, n))
+    dx = np.empty((B, R, n))
+    for start in range(0, B, step):
+        cs = slice(start, min(start + step, B))
+        b = cs.stop - start
+        xc = x[cs]
+        np.maximum(xc, 0.0, out=P[:b, 0])
+        np.minimum(xc, 0.0, out=P[:b, 1])
+        np.multiply(xc, 0.1, out=F[:b, 1])
+        np.maximum(xc, F[:b, 1], out=F[:b, 0])
+        np.minimum(xc, F[:b, 1], out=F[:b, 1])
+        np.multiply(G[cs, None, :, :, None], P[:b, :, :, None, :], out=Z[:b])
+        Zc = Z[:b].reshape(b, 2 * R, c_o * n)
+        np.matmul(Zc.transpose(0, 2, 1), F[:b].reshape(b, 2 * R, n),
+                  out=M[:b].reshape(b, c_o * n, n))
+        np.multiply(s[cs], w, out=W[:b])
+        np.add(W[:b], W[:b].transpose(0, 1, 3, 2), out=Ws[:b])
+        np.matmul(Zc, Ws[:b].reshape(b, c_o * n, n), out=D[:b].reshape(b, 2 * R, n))
+        np.greater(xc, 0.0, out=P[:b, 0])
+        np.less(xc, 0.0, out=P[:b, 1])
+        P[:b] *= 0.9
+        P[:b] += 0.1
+        D[:b] *= P[:b]
+        np.add(D[:b, 0], D[:b, 1], out=dx[cs])
+        np.multiply(M[:b], w, out=W[:b])
+        np.sum(W[:b], axis=1, out=da[cs])
+        M[:b] *= s[cs]
+        for Mb in M[:b]:
+            dw += Mb
+    return dw.reshape(c_o, n * n).T, da, dx
+
+
 def cross_block(X1, Xprev, a, w_pca):
     """``pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)`` as one node.
 
@@ -183,13 +245,20 @@ def cross_block(X1, Xprev, a, w_pca):
     buffers itself. The kernel depends on the shape alone, so a forward under
     ``no_grad`` is bit-identical to one in grad mode.
 
-    Backward is the same for both kernels, in the L forward's chunks. Per
-    chunk it recomputes L with ``_lrelu_cross``, as the L forward does, so
-    bit for bit with storing L, using dP's buffer as the scratch; once the
-    GEMM M = Lᵀ G has read L, the slope lrelu' = 0.1 + 0.9·[L > 0] is written
-    over it. A chunk so streams two L-sized arrays, L and dP. Backward then
-    lets go of the node's saved arrays, so it runs once per graph; a second
-    backward through the node raises ValueError.
+    Backward has two kernels. When ``Xprev is X1``, the one tensor, as
+    ``run_stack`` passes to the first block, and c_i ≥ ``_SPLIT_CHANNELS``,
+    it is ``_sign_split_grad``: the crossed products are a symmetric form in
+    the sign-split factors, so two GEMMs per sample give M and dX, and
+    neither L nor dP is built. Equal shapes are not enough: a second block
+    with c_o = n1 has X1's shape and takes the other kernel. Every other
+    block (a second block, or fewer channels, where the L backward measures
+    faster) runs in the L forward's chunks: per chunk it recomputes L with
+    ``_lrelu_cross``, as the L forward does, so bit for bit with storing L,
+    using dP's buffer as the scratch; once the GEMM M = Lᵀ G has read L, the
+    slope lrelu' = 0.1 + 0.9·[L > 0] is written over it. A chunk so streams
+    two L-sized arrays, L and dP. Backward then lets go of the node's saved
+    arrays, so it runs once per graph; a second backward through the node
+    raises ValueError.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]
@@ -199,7 +268,8 @@ def cross_block(X1, Xprev, a, w_pca):
                             f"a {a.shape}, w_pca {w_pca.shape}")
     R = T * d
     x1 = np.ascontiguousarray(X1.data.transpose(0, 1, 3, 2)).reshape(B, R, n1)
-    xp = np.ascontiguousarray(Xprev.data.transpose(0, 1, 3, 2)).reshape(B, R, n_prev)
+    xp = x1 if Xprev is X1 else np.ascontiguousarray(
+        Xprev.data.transpose(0, 1, 3, 2)).reshape(B, R, n_prev)
     scale = 1.0 + a.data.reshape(B, c_i, 1)
     step = _chunk_step(R * c_i, R * c_i)    # L and its scratch, or L and dP in backward
     chunks = [slice(s, min(s + step, B)) for s in range(0, B, step)]
@@ -225,30 +295,34 @@ def cross_block(X1, Xprev, a, w_pca):
             raise ValueError("cross_block's backward already ran on this graph, "
                              "and its saved arrays are freed")
         Gt = np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(B, c_o, R)
-        Mt = np.empty((B, c_o, c_i))                           # M_b = L_bᵀ G_b, transposed
-        dxp = np.empty((B, R, n_prev, 1))
-        dx1 = np.empty((B, R, 1, n1))
-        if L is None:
-            W_b = np.empty((min(step, B), c_i, c_o))
-            L = np.empty((min(step, B), R, n_prev, n1))        # L, then lrelu'
-        dP = np.empty((min(step, B), R, c_i))                  # lrelu scratch, then dP
-        for cs in chunks:
-            Lc = _lrelu_cross(xp[cs], x1[cs], L, dP)
-            n = Lc.shape[0]
-            np.matmul(Gt[cs], Lc, out=Mt[cs])
-            np.multiply(scale[cs], w_pca.data, out=W_b[:n])
-            np.matmul(Gt[cs].transpose(0, 2, 1), W_b[:n].transpose(0, 2, 1), out=dP[:n])
-            np.greater(Lc, 0.0, out=Lc)                        # lrelu' = 0.1 + 0.9·[L > 0]
-            Lc *= 0.9
-            Lc += 0.1
-            dP[:n] *= Lc
-            dPc = dP[:n].reshape(n, R, n_prev, n1)
-            np.matmul(dPc, x1[cs, :, :, None], out=dxp[cs])
-            np.matmul(xp[cs, :, None, :], dPc, out=dx1[cs])
-        M = Mt.transpose(0, 2, 1)
-        acc(w_pca, (scale * M).sum(axis=0))
-        acc(a, (M * w_pca.data).sum(axis=2).reshape(B, n_prev, n1))
-        acc(Xprev, dxp.reshape(B, T, d, n_prev).transpose(0, 1, 3, 2))
+        if Xprev is X1 and c_i >= _SPLIT_CHANNELS:
+            dw, da, dx1 = _sign_split_grad(Gt, x1, scale, w_pca.data)
+        else:
+            Mt = np.empty((B, c_o, c_i))                       # M_b = L_bᵀ G_b, transposed
+            dxp = np.empty((B, R, n_prev, 1))
+            dx1 = np.empty((B, R, 1, n1))
+            if L is None:
+                W_b = np.empty((min(step, B), c_i, c_o))
+                L = np.empty((min(step, B), R, n_prev, n1))    # L, then lrelu'
+            dP = np.empty((min(step, B), R, c_i))              # lrelu scratch, then dP
+            for cs in chunks:
+                Lc = _lrelu_cross(xp[cs], x1[cs], L, dP)
+                n = Lc.shape[0]
+                np.matmul(Gt[cs], Lc, out=Mt[cs])
+                np.multiply(scale[cs], w_pca.data, out=W_b[:n])
+                np.matmul(Gt[cs].transpose(0, 2, 1), W_b[:n].transpose(0, 2, 1), out=dP[:n])
+                np.greater(Lc, 0.0, out=Lc)                    # lrelu' = 0.1 + 0.9·[L > 0]
+                Lc *= 0.9
+                Lc += 0.1
+                dP[:n] *= Lc
+                dPc = dP[:n].reshape(n, R, n_prev, n1)
+                np.matmul(dPc, x1[cs, :, :, None], out=dxp[cs])
+                np.matmul(xp[cs, :, None, :], dPc, out=dx1[cs])
+            acc(Xprev, dxp.reshape(B, T, d, n_prev).transpose(0, 1, 3, 2))
+            M = Mt.transpose(0, 2, 1)
+            dw, da = (scale * M).sum(axis=0), (M * w_pca.data).sum(axis=2)
+        acc(w_pca, dw)
+        acc(a, da.reshape(B, n_prev, n1))
         acc(X1, dx1.reshape(B, T, d, n1).transpose(0, 1, 3, 2))
         # the graph can outlive this call, waiting for the cyclic collector
         xp = x1 = W_b = scale = L = None

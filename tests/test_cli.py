@@ -797,6 +797,27 @@ class TestNonFiniteScores:
     CONFIG = ("fields = x1, x2\nT = 2\nd = 4\nrank_widths = 3\nh = 5\ns = 1\n"
               "epochs = 1\nlr = 1e306\n")
 
+    def write_inputs(self, tmp_path):
+        data, cfg = tmp_path / "data.csv", tmp_path / "huge.cfg"
+        write_csv(gen_synthetic_interaction(40, T=2, noise_fields=0, seed=0), data,
+                  synthetic_schema_config(0, 2))
+        cfg.write_text(self.CONFIG)
+        return data, cfg
+
+    def test_train_exits_one_and_saves_nothing(self, tmp_path, capsys, monkeypatch):
+        data, cfg = self.write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", "m.ckpt"])
+        assert rc == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
+            str(w.message) for w in caught]
+        assert re.fullmatch(r"error: entity 's\d{5}' scores non-finite: the model's "
+                            r"forward pass overflows\n", capsys.readouterr().err)
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.trace.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--axis", "rank", "--values", "1,2"],
         ["eval", "--model", "m.ckpt"],
@@ -804,15 +825,16 @@ class TestNonFiniteScores:
         ["explain", "--model", "m.ckpt", "--out", "expl", "--entity", "s00000"],
     ], ids=["sweep", "eval", "static", "entity"])
     def test_scoring_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch, argv):
-        data, cfg = tmp_path / "data.csv", tmp_path / "huge.cfg"
-        write_csv(gen_synthetic_interaction(40, T=2, noise_fields=0, seed=0), data,
-                  synthetic_schema_config(0, 2))
-        cfg.write_text(self.CONFIG)
+        data, cfg = self.write_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         if argv[0] != "sweep":
-            assert main(["train", "--data", str(data), "--config", str(cfg),
-                         "--out", "m.ckpt"]) == 0
-            capsys.readouterr()
+            # train refuses to save this model, so it is trained and saved here
+            parsed = parse_config(cfg)
+            ds = cli._load_split(data, parsed)
+            with np.errstate(all="ignore"):
+                trained, _ = model.train(ds.train, build_schema(ds.train, parsed.schema_config()),
+                                         parsed.train)
+            model.save_checkpoint(trained, tmp_path / "m.ckpt")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv[:1] + ["--data", str(data), "--config", str(cfg)] + argv[1:])

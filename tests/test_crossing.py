@@ -398,6 +398,166 @@ class TestCrossBlock:
             cross_block(X1, Xprev, a, ad.Tensor(np.ones((5, 2))))
 
 
+def symmetric(op):
+    """``op`` with one tensor as both X1 and Xprev, as run_stack passes block 1."""
+    return lambda X, a, w_pca: op(X, X, a, w_pca)
+
+
+def symmetric_inputs(B, T, n, d, c_o, seed):
+    X, _, a, w = block_inputs(B, T, n, n, d, c_o, seed)
+    return [X, a, w]
+
+
+def symmetric_backward_bytes(R, n, c_o):
+    """Bytes per sample of the arrays that the symmetric backward's loop touches."""
+    return 8 * (2 * R * c_o * n + 6 * R * n + 3 * c_o * n * n)   # Z; P, F, D; W, W + Wᵀ, M
+
+
+def add_zeros(data, X):
+    """Set a drawn subset of X's entries to exact 0.0 or -0.0."""
+    zero = data.draw(hnp.arrays(np.bool_, X.data.shape))
+    X.data[zero] = data.draw(st.sampled_from([0.0, -0.0]))
+
+
+def count_sign_split_grad(monkeypatch):
+    """A list that gets the input shape of each call of the symmetric backward."""
+    calls = []
+    real = crossing._sign_split_grad
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(crossing, "_sign_split_grad", counted)
+    return calls
+
+
+class TestSymmetricBlock:
+    """cross_block(X, X, a, w) from _SPLIT_CHANNELS crossed channels on, the
+    backward of run_stack's first block, which builds no crossed products."""
+
+    @pytest.mark.parametrize("B,T,n,d,c_o,chunk", [
+        (2, 1, 12, 2, 2, 1 << 20),     # c_i = 144
+        (2, 1, 25, 1, 2, 8),           # c_i = 625, one sample per chunk
+    ])
+    def test_grad_check(self, B, T, n, d, c_o, chunk, monkeypatch):
+        params = symmetric_inputs(B, T, n, d, c_o, seed=n)
+        X = params[0]
+        # no entry within 0.05 of the lrelu kink: central differences across
+        # x = 0 would straddle it
+        X.data[np.abs(X.data) < 0.05] = 0.05
+        R = Tensor(np.random.default_rng(c_o).normal(size=(B, T, c_o, d)))
+        assert n * n >= crossing._SPLIT_CHANNELS
+
+        def f():
+            return ad.tsum(ad.mul(cross_block(X, X, *params[1:]), R))
+
+        calls = count_sign_split_grad(monkeypatch)
+        with chunk_bytes(chunk):
+            report = ad.grad_check(f, params, step=1e-3, tol=1e-6)
+        assert report["ok"], report
+        assert calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_chain_with_exact_zeros(self, data):
+        # n·n on both sides of the crossover: 121 takes the L backward
+        assert crossing._SPLIT_CHANNELS == 128
+        n = data.draw(st.sampled_from([1, 4, 11, 12, 13, 25]))
+        B, T, d, c_o = (data.draw(st.integers(1, 3)) for _ in range(4))
+        params = symmetric_inputs(B, T, n, d, c_o, seed=data.draw(st.integers(0, 2**16)))
+        add_zeros(data, params[0])
+        R = np.random.default_rng(n).normal(size=(B, T, c_o, d))
+        want = value_and_grads(symmetric(chain), params, R)
+        with chunk_bytes(data.draw(st.sampled_from([8, 1 << 20]))):
+            got = value_and_grads(symmetric(cross_block), params, R)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bits_do_not_depend_on_the_chunk_budget(self, data):
+        n = data.draw(st.sampled_from([12, 13, 25]))
+        B = data.draw(st.integers(1, 5))
+        T, d, c_o = (data.draw(st.integers(1, 3)) for _ in range(3))
+        params = symmetric_inputs(B, T, n, d, c_o, seed=data.draw(st.integers(0, 2**16)))
+        add_zeros(data, params[0])
+        R = np.random.default_rng(B).normal(size=(B, T, c_o, d))
+        runs = []
+        # one sample per chunk, two, the default, and the whole batch
+        for budget in (8, 2 * symmetric_backward_bytes(T * d, n, c_o), crossing._CHUNK_BYTES,
+                       1 << 30):
+            with chunk_bytes(budget):
+                runs.append([x.tobytes() for x in value_and_grads(symmetric(cross_block),
+                                                                  params, R)])
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_second_backward_is_rejected_and_the_saved_arrays_freed(self):
+        B, T, n, d, c_o = 16, 2, 12, 8, 2
+        X, a, w = symmetric_inputs(B, T, n, d, c_o, seed=12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = cross_block(X, X, a, w)
+            loss = ad.tsum(out)
+            ad.backward(loss)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the node saves the transposed input and 1 + a; both must be let go
+        saved = X.data.nbytes + a.data.nbytes
+        assert kept - out.data.nbytes < saved / 4
+        with pytest.raises(ValueError, match="cross_block's backward already ran"):
+            ad.backward(loss)
+
+    def test_backward_scratch_stays_under_the_budget(self):
+        B, T, n, d, c_o = 16, 2, 12, 32, 8
+        X, a, w = symmetric_inputs(B, T, n, d, c_o, seed=13)
+        sample = symmetric_backward_bytes(T * d, n, c_o)
+        budget = 2 * sample
+        grads = []
+        with chunk_bytes(budget):
+            out = cross_block(X, X, a, w)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out._backward(np.ones(out.shape), lambda t, g: grads.append(g))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        scratch = peak - sum(g.nbytes for g in grads)
+        assert n * n >= crossing._SPLIT_CHANNELS and len(grads) == 3
+        # a broadcasting ufunc call may allocate a NumPy buffer per input
+        ufunc_buffers = 2 * 8 * np.getbufsize()
+        # the chunk buffers fill the budget; the rest (the transposed upstream
+        # gradient and a copy of w_pca) is under a quarter of it, while M or Z
+        # for the whole batch would take the scratch past 1.5 budgets
+        assert B * sample == 8 * budget
+        assert scratch < 1.5 * budget + ufunc_buffers
+
+    def test_a_distinct_xprev_equal_to_x1_takes_the_l_backward(self, monkeypatch):
+        # a second block with c_o = n1 gets a Xprev of X1's shape: equal
+        # shapes and values are not the same tensor, and its backward is the L one
+        B, T, n, d, c_o = 2, 2, 12, 2, 3
+        X, a, w = symmetric_inputs(B, T, n, d, c_o, seed=14)
+        Xprev = ad.Param(X.data.copy(), name="Xprev")
+        R = np.random.default_rng(15).normal(size=(B, T, c_o, d))
+        calls = count_sign_split_grad(monkeypatch)
+        assert_matches_chain([X, Xprev, a, w], R, 1 << 20)
+        assert calls == []
+        value_and_grads(symmetric(cross_block), [X, a, w], R)
+        assert calls == [(B, T * d, n)]
+
+    def test_run_stack_takes_it_for_the_first_block_only(self, monkeypatch):
+        n1 = 12
+        blocks = make_blocks(n1, [n1, 3], 2, np.random.default_rng(16))
+        X1 = ad.Param(rand((2, 2, n1, 2), seed=17), name="x1")
+        calls = count_sign_split_grad(monkeypatch)
+        ad.backward(ad.tsum(run_stack(X1, blocks).x_tilde))
+        assert calls == [(2, 4, n1)]
+
+
 def reference_stack(X1, blocks):
     """Unfused step-by-step re-implementation in plain numpy."""
     B, T, n1, d = X1.shape

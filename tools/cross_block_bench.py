@@ -19,6 +19,12 @@ Shapes (B, T, n1, n_prev, d, c_o), those of perfbench's three workloads:
 - ``train_paper 1`` and ``2``: the two blocks at B = 32, c_i = 625 and 200;
 - ``score 1`` and ``2``: the score_explain model's two blocks at its
   ``Model.score_batch`` (88 samples).
+
+A first block (``FIRST_BLOCKS``) crosses the rank-1 features with
+themselves, so, as ``crossing.run_stack`` does, one Param is passed as both
+X1 and Xprev, and the backward of a first block with at least
+``crossing._SPLIT_CHANNELS`` crossed channels is the symmetric one. Every
+other shape gets a Xprev of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ SHAPES = {
     "score 1": (88, 5, 25, 25, 8, 8),
     "score 2": (88, 5, 25, 8, 8, 4),
 }
+FIRST_BLOCKS = {"train_small", "train_paper 1", "score 1"}
 PHASES = ("forward", "backward", "no_grad forward")
 
 
@@ -61,9 +68,14 @@ def inputs(shape, np):
              rng.normal(size=(n_prev * n1, c_o))], rng.normal(size=(B, T, c_o, d)))
 
 
-def time_once(crossing, ad, arrays, g):
-    """Milliseconds of the forward, its backward and the no_grad forward."""
+def time_once(crossing, ad, arrays, g, first):
+    """Milliseconds of the forward, its backward and the no_grad forward.
+
+    With ``first``, the Param of X1 is passed as Xprev too.
+    """
     params = [ad.Param(x) for x in arrays]
+    if first:
+        params[1] = params[0]
     t0 = time.perf_counter()
     out = crossing.cross_block(*params)
     t1 = time.perf_counter()
@@ -100,7 +112,7 @@ def main(argv=None):
             for k, b in (runs if r % 2 else runs[::-1]):
                 crossing, ad = kernels[k]
                 crossing._CHUNK_BYTES = b
-                ms = time_once(crossing, ad, arrays, g)
+                ms = time_once(crossing, ad, arrays, g, name in FIRST_BLOCKS)
                 if r:
                     times[k, b].append(ms)
         for (k, b), ts in times.items():
