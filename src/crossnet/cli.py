@@ -47,6 +47,14 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
+        for key in ("fields", "zscore_fields"):
+            names = getattr(self, key)
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{key} lists {name!r} twice")
+        for name in self.fields:
+            if name in (ENTITY, PERIOD, LABEL):
+                raise ValueError(f"field {name!r} is a column of the long format itself")
         self.schema_config()    # checks the field kinds
         for name in self.zscore_fields:
             if name not in self.fields or name in self.categorical:

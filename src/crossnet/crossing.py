@@ -13,6 +13,7 @@ the same steps as separate tensor ops, kept as its reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,13 @@ def _chunk_step(*sizes):
     return max(1, _CHUNK_BYTES // (8 * sum(sizes)))
 
 
+def _chunk_buffers(B, *shapes):
+    """Samples per chunk of a loop over B samples whose per-sample buffers have
+    ``shapes``, sized by ``_chunk_step``, and one chunk's buffer of each shape."""
+    step = _chunk_step(*(math.prod(shape) for shape in shapes))
+    return step, [np.empty((min(step, B),) + shape) for shape in shapes]
+
+
 def _lrelu_cross(xp, x1, L, tmp):
     """lrelu(xp_m ⊙ x1_k) for [n, R, n_prev] and [n, R, n1], as [n, R, n_prev*n1].
 
@@ -132,20 +140,15 @@ def _sign_split_mix(xp, x1, scale, w_pca):
     F = [lrelu(x1); min(x1, 0.1·x1)] and P = [max(xp, 0); min(xp, 0)] stacked
     per row, mixed[r, o] = Σ_(s,m) P[r, s, m] · (F W)[r, s, m, o], where
     W[k, (m, o)] = (1 + a_mk)·w_pca[m·n1 + k, o]. Each chunk of samples is one
-    batched GEMM of F against W and one row-wise contraction with P; a chunk
-    of W, F, P and F W together holds about ``_CHUNK_BYTES``.
+    batched GEMM of F against W and one row-wise contraction with P.
     """
     B, R, n_prev = xp.shape
     n1 = x1.shape[2]
     c_o = w_pca.shape[1]
     w = w_pca.reshape(n_prev, n1, c_o).transpose(1, 0, 2)          # [n1, n_prev, c_o]
     s = scale.reshape(B, n_prev, n1, 1).transpose(0, 2, 1, 3)      # [B, n1, n_prev, 1]
-    step = _chunk_step(n1 * n_prev * c_o, 2 * R * n1, 2 * R * n_prev, 2 * R * n_prev * c_o)
-    n = min(step, B)
-    W = np.empty((n, n1, n_prev, c_o))
-    F = np.empty((n, R, 2, n1))
-    P = np.empty((n, R, 2, n_prev))
-    FW = np.empty((n, R, 2 * n_prev, c_o))
+    step, (W, F, P, FW) = _chunk_buffers(B, (n1, n_prev, c_o), (R, 2, n1), (R, 2, n_prev),
+                                         (R, 2 * n_prev, c_o))
     mixed = np.empty((B, R, 1, c_o))
     for start in range(0, B, step):
         cs = slice(start, min(start + step, B))
@@ -172,25 +175,18 @@ def _sign_split_grad(Gt, x, scale, w_pca):
     Z = G ⊗ P, as [2R, c_o·n], the GEMM Zᵀ F is M = Lᵀ G, as [c_o·n, n], and
     the GEMM D = Z (W_b + W_b with m and k swapped) gives
     dX = (0.1 + 0.9·[x > 0])·D_0 + (0.1 + 0.9·[x < 0])·D_1, which keeps
-    lrelu'(0) = 0.1. Each chunk of samples is the two GEMMs; a chunk of Z, P,
-    F, D, both weights and M together holds about ``_CHUNK_BYTES``. The
-    w_pca gradient adds the samples' terms in order, so no sum depends on
-    the chunks.
+    lrelu'(0) = 0.1. Each chunk of samples is the two GEMMs. The w_pca
+    gradient adds the samples' terms in order, so no sum depends on the
+    chunks.
     """
     B, R, n = x.shape
     c_o = w_pca.shape[1]
     G = Gt.transpose(0, 2, 1)
     w = np.ascontiguousarray(w_pca.T).reshape(c_o, n, n)          # [c_o, m, k]
     s = scale.reshape(B, 1, n, n)
-    step = _chunk_step(2 * R * c_o * n, 6 * R * n, 3 * c_o * n * n)
-    b = min(step, B)
-    Z = np.empty((b, 2, R, c_o, n))
-    P = np.empty((b, 2, R, n))              # P, then the slopes of F
-    F = np.empty((b, 2, R, n))
-    D = np.empty((b, 2, R, n))
-    W = np.empty((b, c_o, n, n))            # W_b, then M ⊙ w
-    Ws = np.empty((b, c_o, n, n))
-    M = np.empty((b, c_o, n, n))
+    # P is then the slopes of F, and W is W_b, then M ⊙ w
+    step, (Z, P, F, D, W, Ws, M) = _chunk_buffers(B, (2, R, c_o, n), (2, R, n), (2, R, n),
+                                                  (2, R, n), (c_o, n, n), (c_o, n, n), (c_o, n, n))
     dw = np.zeros((c_o, n, n))
     da = np.empty((B, n, n))
     dx = np.empty((B, R, n))
@@ -228,37 +224,20 @@ def cross_block(X1, Xprev, a, w_pca):
     """``pca_select(residual_scale(cross_product(X1, Xprev), a), w_pca)`` as one node.
 
     X1 [B, T, n1, d], Xprev [B, T, n_prev, d], a [B, n_prev, n1] and
-    w_pca [n_prev*n1, c_o] give [B, T, c_o, d]. The work is done channel-last,
-    on rows r = (t, d) by crossed channels c = m*n1 + k. ``a`` is a softmax,
-    so 1 + a > 0 and lrelu((1+a)·x) = (1+a)·lrelu(x): the attention scale folds
-    into a per-sample weight W_b = diag(1 + a_b)·w_pca, and the block is
-    L = lrelu(Xprev_m ⊙ X1_k) followed by the GEMM L_b W_b, with lrelu'(0) = 0.1
-    as in ``ad.leaky_relu``.
+    w_pca [n_prev*n1, c_o] give [B, T, c_o, d], worked channel-last on rows
+    r = (t, d) by crossed channels c = m*n1 + k, with lrelu'(0) = 0.1 as in
+    ``ad.leaky_relu``. ``a`` is a softmax, so 1 + a > 0, and the attention
+    scale folds into a per-sample weight W_b = diag(1 + a_b)·w_pca.
 
-    Every loop takes samples in chunks sized by ``_chunk_step`` from all the
-    arrays that a chunk touches, so each pass over a chunk runs from cache,
-    and neither L nor W_b is held whole. Below ``_SPLIT_CHANNELS`` crossed
-    channels the forward builds each chunk of L and of W_b in reused buffers,
-    with a second L-sized buffer as the lrelu scratch, and the node keeps the
-    L and W_b buffers for backward. From ``_SPLIT_CHANNELS`` on, the forward
-    is ``_sign_split_mix``, which builds neither, and backward makes the two
-    buffers itself. The kernel depends on the shape alone, so a forward under
-    ``no_grad`` is bit-identical to one in grad mode.
-
-    Backward has two kernels. When ``Xprev is X1``, the one tensor, as
-    ``run_stack`` passes to the first block, and c_i ≥ ``_SPLIT_CHANNELS``,
-    it is ``_sign_split_grad``: the crossed products are a symmetric form in
-    the sign-split factors, so two GEMMs per sample give M and dX, and
-    neither L nor dP is built. Equal shapes are not enough: a second block
-    with c_o = n1 has X1's shape and takes the other kernel. Every other
-    block (a second block, or fewer channels, where the L backward measures
-    faster) runs in the L forward's chunks: per chunk it recomputes L with
-    ``_lrelu_cross``, as the L forward does, so bit for bit with storing L,
-    using dP's buffer as the scratch; once the GEMM M = Lᵀ G has read L, the
-    slope lrelu' = 0.1 + 0.9·[L > 0] is written over it. A chunk so streams
-    two L-sized arrays, L and dP. Backward then lets go of the node's saved
-    arrays, so it runs once per graph; a second backward through the node
-    raises ValueError.
+    The forward kernel depends on the shape alone, so a forward under
+    ``no_grad`` gives the same bits as one in grad mode: below
+    ``_SPLIT_CHANNELS`` crossed channels it builds L = lrelu(Xprev_m ⊙ X1_k)
+    a chunk at a time, from there on it is ``_sign_split_mix``. Backward is
+    ``_sign_split_grad`` only when ``Xprev is X1``, the one tensor that
+    ``run_stack`` passes to the first block, and c_i ≥ ``_SPLIT_CHANNELS``;
+    equal shapes are not enough. Every other backward recomputes L in the L
+    forward's chunks, bit for bit. Backward releases the saved arrays, so a
+    second backward through the node raises ValueError.
     """
     B, T, n1, d = X1.shape
     n_prev = Xprev.shape[2]

@@ -208,10 +208,12 @@ def load_csv(path, schema_config, entity=None):
     multi-valued cell, a non-integer label or a second row for an (entity,
     period) pair raises DataError naming ``path:line``. Each step's values
     are keyed in ``schema_config.fields`` order. Given an ``entity`` id, only
-    that entity's rows are checked; every other row is parsed and skipped.
+    that entity's rows are checked; every other row is parsed and skipped,
+    and an entity with rows but no usable window raises DataError.
     """
     T = schema_config.time_span
     by_entity = {}
+    seen = False                # whether a row of ``entity`` was read
     with read_rows(path, [ENTITY, PERIOD, LABEL, *schema_config.fields]) as (width, column, lines):
         entity_col, period_col, label_col = column[ENTITY], column[PERIOD], column[LABEL]
         fields = [(name, column[name], 2 if name in schema_config.multi_valued else
@@ -220,6 +222,7 @@ def load_csv(path, schema_config, entity=None):
         for lineno, row in lines:
             if entity is not None and (len(row) <= entity_col or row[entity_col] != entity):
                 continue
+            seen = True
             if len(row) != width:
                 raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
             try:
@@ -260,6 +263,9 @@ def load_csv(path, schema_config, entity=None):
             log.warning("entity %s has no label on its final period, dropped", entity_id)
             continue
         samples.append(SequencedSample(entity_id, [r[1] for r in window], label))
+    if entity is not None and seen and not samples:
+        raise DataError(f"entity {entity!r} has no {T} consecutive periods "
+                        f"ending in a labeled one")
     if dropped:
         log.info("dropped %d entities without %d consecutive labeled periods", dropped, T)
     samples.sort(key=lambda s: s.entity_id)

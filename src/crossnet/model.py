@@ -23,7 +23,7 @@ from .autodiff import Param, Tensor
 from .attention import (FeatureAttentionParams, TemporalAttentionParams,
                         feature_attention, temporal_attention)
 from .crossing import lasso_penalty, make_blocks, run_stack
-from .data import FeatureField
+from .data import ENTITY, LABEL, PERIOD, FeatureField
 from .embedding import EmbeddingLayer
 
 log = logging.getLogger(__name__)
@@ -422,7 +422,9 @@ def load_checkpoint(path):
     """Rebuild the model from a checkpoint written by save_checkpoint.
 
     The file must hold exactly the model's parameters and end after the
-    last one; a truncated, padded or incomplete file raises ValueError.
+    last one; a truncated, padded or incomplete file raises ValueError, and
+    so does a schema that repeats a field name or lists a column of the long
+    format as a field.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -449,6 +451,11 @@ def load_checkpoint(path):
             if not isinstance(schema, list) or not schema:
                 raise ValueError(f"the schema must be a non-empty list, got {schema!r:.60}")
             schema = [_from_json(FeatureField, f) for f in schema]
+            names = [f.name for f in schema]
+            for i, name in enumerate(names):
+                if name in names[:i] or name in (ENTITY, PERIOD, LABEL):
+                    raise ValueError(f"field {name!r} is repeated or is a column of the "
+                                     f"long format itself")
             config = _from_json(TrainConfig, json.loads(config_blob))
         except ValueError as exc:
             raise ValueError(f"{path} has a malformed header: {exc}") from exc

@@ -183,6 +183,22 @@ class TestParseConfig:
         assert err.startswith("config error") and err.count("\n") == 1, err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("fields = x1, x2, x1", "fields lists 'x1' twice"),
+        ("zscore_fields = x1, x2, x1", "zscore_fields lists 'x1' twice"),
+    ] + [(f"fields = x1, x2, {column}",
+          f"field {column!r} is a column of the long format itself")
+         for column in ("entity_id", "period_index", "label")])
+    def test_a_repeated_or_reserved_field_name_is_a_config_error(self, tmp_path, data_path,
+                                                                 capsys, line, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_line(line))
+        rc = main(["train", "--data", str(data_path), "--config", str(p),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {p}: {message}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_a_byte_that_is_not_utf8_is_a_config_error(self, tmp_path, data_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"fields = a\xff\n")
@@ -506,6 +522,30 @@ class TestExplainCommand:
         assert "unknown entity id 'nobody'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("fault", ["period 0 removed", "every row skipped"])
+    def test_an_entity_without_a_window_is_named_with_t(self, tmp_path, config_path,
+                                                        data_path, trained, capsys, fault):
+        header, own, rows = self.entity_rows(data_path, "s00003")
+        line, first = own[0]
+        assert first[1] == "0"
+        if fault == "period 0 removed":
+            del rows[line - 1]
+        else:
+            for line, _ in own:
+                rows[line - 1][header.index("x1")] = "n/a"     # a non-numeric cell
+        short = tmp_path / "short.csv"
+        with open(short, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert self.explain_entity(short, trained, config_path, tmp_path / "x",
+                                   entity="s00003") == 1
+        err = capsys.readouterr().err
+        assert ("error: entity 's00003' has no 2 consecutive periods ending in a "
+                "labeled one\n") in err
+        assert "unknown entity id" not in err
+        assert not (tmp_path / "x").exists()
+        # the other entities still explain
+        assert self.explain_entity(short, trained, config_path, tmp_path / "x") == 0
+
 
 class TestBadDataFile:
     """A data file that is empty or holds a byte that is not UTF-8 stops every
@@ -632,6 +672,12 @@ class TestScoringHoldsOneBatch:
         assert len(calls) == 1
 
 
+# the zscore baseline reads five distinct numerical fields
+FIVE_FIELD_CONFIG = (SMALL_CONFIG.replace("fields = x1, x2, noise0",
+                                          "fields = x1, x2, noise0, noise1, noise2")
+                     + "zscore_fields = x1, x2, noise0, noise1, noise2\n")
+
+
 class TestBaselineCommand:
     def test_lr_baseline_runs(self, config_path, data_path, capsys):
         rc = main(["baseline", "--data", str(data_path), "--config", str(config_path),
@@ -645,9 +691,9 @@ class TestBaselineCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("config", [
-        SMALL_CONFIG + "zscore_fields = x1, x2, noise0, x1, size\n",
+        SMALL_CONFIG + "zscore_fields = x1, x2, noise0, size, debt\n",
         SMALL_CONFIG.replace("noise0", "noise0, sector") + "categorical = sector\n"
-        "zscore_fields = x1, x2, noise0, x1, sector\n"], ids=["unlisted", "categorical"])
+        "zscore_fields = x1, x2, noise0, sector, debt\n"], ids=["unlisted", "categorical"])
     def test_zscore_fields_must_be_listed_numerical_fields(self, tmp_path, data_path,
                                                             capsys, config):
         cfg = tmp_path / "z.cfg"
@@ -659,13 +705,13 @@ class TestBaselineCommand:
         assert "config error" in err and "is not a listed numerical field" in err
 
     def test_zscore_refuses_an_empty_cell(self, tmp_path, capsys):
-        samples = gen_synthetic_interaction(10, T=2, noise_fields=1, seed=0)
+        samples = gen_synthetic_interaction(10, T=2, noise_fields=3, seed=0)
         for s in samples[::2]:
             s.steps[-1]["x1"] = math.nan
         data = tmp_path / "gaps.csv"
-        write_csv(samples, data, synthetic_schema_config(1, 2))
+        write_csv(samples, data, synthetic_schema_config(3, 2))
         cfg = tmp_path / "z.cfg"
-        cfg.write_text(SMALL_CONFIG + "zscore_fields = x1, x2, noise0, x1, x2\n")
+        cfg.write_text(FIVE_FIELD_CONFIG)
         rc = main(["baseline", "--data", str(data), "--config", str(cfg),
                    "--which", "zscore"])
         assert rc == 1
@@ -673,11 +719,13 @@ class TestBaselineCommand:
         assert re.search(r"entity 's0000[02468]' has an empty 'x1' cell", err), err
         assert "Traceback" not in err
 
-    def test_zscore_runs_with_fields(self, tmp_path, data_path, capsys):
+    def test_zscore_runs_with_fields(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_csv(gen_synthetic_interaction(24, T=2, noise_fields=3, seed=0), data,
+                  synthetic_schema_config(3, 2))
         cfg = tmp_path / "z.cfg"
-        cfg.write_text(SMALL_CONFIG +
-                       "zscore_fields = x1, x2, noise0, x1, x2\n")
-        rc = main(["baseline", "--data", str(data_path), "--config", str(cfg),
+        cfg.write_text(FIVE_FIELD_CONFIG)
+        rc = main(["baseline", "--data", str(data), "--config", str(cfg),
                    "--which", "zscore"])
         assert rc == 0
         assert "acc" in capsys.readouterr().out
@@ -883,6 +931,24 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert f"{ckpt} has a malformed header: d must be >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["x1", "label"])
+    def test_a_repeated_or_reserved_field_name_is_malformed(self, tmp_path, config_path,
+                                                            data_path, capsys, name):
+        cfg = parse_config(config_path)
+        samples = cli._load_split(data_path, cfg).train
+        schema = [dataclasses.replace(f, name=name if f.name == "noise0" else f.name)
+                  for f in build_schema(samples, cfg.schema_config())]
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
+        with pytest.raises(ValueError, match=f"{ckpt} has a malformed header: field "
+                                             f"{name!r} is repeated"):
+            model.load_checkpoint(ckpt)
+        rc = main(["eval", "--data", str(data_path), "--model", str(ckpt),
+                   "--config", str(config_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt} has a malformed header" in err and err.count("\n") == 1, err
 
 
 class TestCheckpointAgainstConfig:

@@ -162,6 +162,23 @@ def chunk_bytes(n):
         crossing._CHUNK_BYTES = saved
 
 
+class TestChunkBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 300),
+           shapes=st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple),
+                           min_size=1, max_size=7),
+           budget=st.sampled_from([8, 4096, 1 << 20]))
+    def test_chunks_fit_the_budget_and_buffers_fit_a_chunk(self, B, shapes, budget):
+        with chunk_bytes(budget):
+            step, buffers = crossing._chunk_buffers(B, *shapes)
+        per_sample = 8 * sum(int(np.prod(shape)) for shape in shapes)
+        assert step >= 1
+        if step > 1:
+            assert step * per_sample <= budget
+        assert [b.shape for b in buffers] == [(min(step, B),) + shape for shape in shapes]
+        assert all(b.dtype == np.float64 for b in buffers)
+
+
 def block_inputs(B, T, n1, n_prev, d, c_o, seed):
     rng = np.random.default_rng(seed)
     return (ad.Param(rng.normal(size=(B, T, n1, d)), name="X1"),

@@ -88,3 +88,51 @@ def runs(setup, tape):
 def test_factors_compare_medians_over_the_seeds(tool, parent, change, differ):
     assert tool.factors_differ(tool.median_factors(parent),
                                tool.median_factors(change)) == differ
+
+
+def fake_result(probe):
+    """A run whose generation-2 collections are all in the probes, or all timed."""
+    counts = {g: dict.fromkeys(("probe", "setup", "timed", "elsewhere"), 0) for g in (0, 1, 2)}
+    counts[2]["probe" if probe else "timed"] = 3
+    return {"counts": counts, "correct": True, "setup_factor": 1.0, "tape_factor": 1.0}
+
+
+@pytest.fixture
+def sides(tool, monkeypatch):
+    """Fake run_side: every run is placed in the probes, but the change's on
+    the workloads in ``moved``; returns the (checkout, workload, seed) calls."""
+    calls, moved = [], set()
+
+    def run_side(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed))
+        return fake_result(not (checkout == "change" and workload in moved))
+
+    monkeypatch.setattr(tool, "run_side", run_side)
+    return calls, moved
+
+
+@pytest.mark.parametrize("moved, rc", [(set(), 0), ({"score_explain"}, 1), ({"train_small"}, 1)])
+def test_without_workload_every_workload_runs(tool, sides, capsys, moved, rc):
+    calls, moving = sides
+    moving.update(moved)
+    assert tool.main(["--parent", "parent", "--change", "change", "--seeds", "1,2"]) == rc
+    assert [w for _, w, _ in calls] == [w for w in tool.WORKLOADS for _ in range(4)]
+    assert {c for c, _, _ in calls} == {"parent", "change"}
+    out = capsys.readouterr().out
+    assert ("differs on" in out) == bool(moved)
+
+
+def test_one_workload_runs_alone(tool, sides):
+    calls, moving = sides
+    moving.add("train_small")
+    assert tool.main(["--parent", "parent", "--change", "change", "--seeds", "1",
+                      "--workload", "train_paper"]) == 0
+    assert {w for _, w, _ in calls} == {"train_paper"}
+
+
+def test_checkout_needs_a_workload(tool, sides, capsys):
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--checkout", ".", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--checkout needs --workload" in capsys.readouterr().err
+    assert sides[0] == []

@@ -1,8 +1,7 @@
 """Where perfbench's automatic garbage collections land: probes, set-ups or timed work.
 
     python3 tools/gc_probe_check.py --checkout . --workload train_small --seed 84 --seconds 30
-    python3 tools/gc_probe_check.py --parent ../parent --change . \
-        --workload train_small --seeds 84,85 --seconds 30
+    python3 tools/gc_probe_check.py --parent ../parent --change . --seeds 84,85 --seconds 30
 
 perfbench rescales each timed figure by host-speed probes (perfbench/hostspeed.py).
 A cyclic collection of generation 2 takes milliseconds; when one lands
@@ -29,9 +28,10 @@ run's set-up factor (``setup_s`` ÷ ``raw.setup_s``) and its median tape factor.
 The last stdout line is the result as JSON.
 
 With ``--parent`` and ``--change`` it runs itself once per side and seed, in
-a new process each, prints both sides, and exits 1 when, for any seed, the
-places that hold generation-2 collections differ between the sides, or
-when the medians over all ``--seeds`` of the two sides' set-up factors or
+a new process each, for ``--workload`` or else for all three workloads in
+turn, prints both sides, and exits 1 when, on any workload, for any seed
+the places that hold generation-2 collections differ between the sides,
+or the medians over all ``--seeds`` of the two sides' set-up factors or
 tape factors differ by more than a factor of FACTOR_RATIO. The counts
 themselves may differ by as much as the number of rounds each run fitted
 in its ``--seconds``. The factors are checked because ``HostSpeed.factor``
@@ -62,6 +62,7 @@ PLACES = ("probe", "setup", "timed", "elsewhere")   # a collection counts in the
 GENERATIONS = (0, 1, 2)
 FACTORS = ("setup_factor", "tape_factor")
 FACTOR_RATIO = 1.3      # the largest ratio allowed between the sides' factors
+WORKLOADS = ("train_small", "train_paper", "score_explain")
 
 
 def classify(starts, generations, intervals):
@@ -242,34 +243,16 @@ def run_side(checkout, workload, seed, seconds):
     return result
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--checkout", help="run one checkout in this process")
-    p.add_argument("--parent", help="checkout of the parent commit")
-    p.add_argument("--change", help="checkout of the change")
-    p.add_argument("--workload", required=True,
-                   choices=("train_small", "train_paper", "score_explain"))
-    p.add_argument("--seed", type=int, help="with --checkout")
-    p.add_argument("--seeds", default="84,85", help="with --parent/--change, e.g. 84,85")
-    p.add_argument("--seconds", type=float, default=30)
-    args = p.parse_args(argv)
-    if args.checkout:
-        if args.seed is None:
-            p.error("--checkout needs --seed")
-        result = check_checkout(args.checkout, args.workload, args.seed, args.seconds)
-        print("\n".join(HEADER + rows("checkout", result)))
-        print(json.dumps(result))
-        return 0
-    if not (args.parent and args.change):
-        p.error("give --checkout, or --parent and --change")
+def compare(checkouts, workload, seeds, seconds):
+    """Run the "parent" and "change" of ``checkouts`` at each of ``seeds`` and
+    print them; True when they differ."""
     moved = False
     runs = {"parent": [], "change": []}
-    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+    for i, seed in enumerate(seeds):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        results = {side: run_side(getattr(args, side), args.workload, seed, args.seconds)
-                   for side in sides}
+        results = {side: run_side(checkouts[side], workload, seed, seconds) for side in sides}
         same = placement(results["parent"]) == placement(results["change"])
-        print(f"{args.workload} seed {seed}: generation-2 placement "
+        print(f"{workload} seed {seed}: generation-2 placement "
               f"{'same' if same else 'DIFFERS'}")
         print("\n".join(HEADER + rows("parent", results["parent"])
                         + rows("change", results["change"])) + "\n")
@@ -278,12 +261,41 @@ def main(argv=None):
             runs[side].append(result)
     medians = {side: median_factors(results) for side, results in runs.items()}
     factors = factors_differ(medians["parent"], medians["change"])
-    print(f"{args.workload} median factors over seeds {args.seeds}: "
+    print(f"{workload} median factors over seeds {','.join(map(str, seeds))}: "
           + ", ".join(f"{k} {medians['parent'][k]:.3f} -> {medians['change'][k]:.3f}"
                       for k in FACTORS)
           + "; " + (f"DIFFER by more than {FACTOR_RATIO}x: {', '.join(factors)}" if factors
                     else f"within {FACTOR_RATIO}x"))
-    return 1 if moved or factors else 0
+    return moved or bool(factors)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--checkout", help="run one checkout in this process")
+    p.add_argument("--parent", help="checkout of the parent commit")
+    p.add_argument("--change", help="checkout of the change")
+    p.add_argument("--workload", choices=WORKLOADS,
+                   help="required with --checkout; with --parent/--change, all by default")
+    p.add_argument("--seed", type=int, help="with --checkout")
+    p.add_argument("--seeds", default="84,85", help="with --parent/--change, e.g. 84,85")
+    p.add_argument("--seconds", type=float, default=30)
+    args = p.parse_args(argv)
+    if args.checkout:
+        if args.workload is None or args.seed is None:
+            p.error("--checkout needs --workload and --seed")
+        result = check_checkout(args.checkout, args.workload, args.seed, args.seconds)
+        print("\n".join(HEADER + rows("checkout", result)))
+        print(json.dumps(result))
+        return 0
+    if not (args.parent and args.change):
+        p.error("give --checkout, or --parent and --change")
+    checkouts = {"parent": args.parent, "change": args.change}
+    seeds = [int(s) for s in args.seeds.split(",")]
+    differ = [w for w in ([args.workload] if args.workload else WORKLOADS)
+              if compare(checkouts, w, seeds, args.seconds)]
+    if differ:
+        print(f"differs on {', '.join(differ)}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
