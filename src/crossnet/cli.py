@@ -20,9 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines, explain
 from .data import (ENTITY, LABEL, PERIOD, DataError, SchemaConfig, build_schema,
-                   gen_synthetic_interaction, load_csv, read_rows, read_text, split,
-                   synthetic_schema_config, write_rows)
-from .model import (Model, TrainConfig, TrainingDiverged, confusion_report,
+                   check_field_names, gen_synthetic_interaction, load_csv, read_rows,
+                   read_text, schema_config_of, split, synthetic_schema_config, write_rows)
+from .model import (Model, TrainConfig, TrainingDiverged, _check_labels, confusion_report,
                     evaluate, load_checkpoint, objective, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
@@ -47,14 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
-        for key in ("fields", "zscore_fields"):
-            names = getattr(self, key)
-            for i, name in enumerate(names):
-                if name in names[:i]:
-                    raise ValueError(f"{key} lists {name!r} twice")
-        for name in self.fields:
-            if name in (ENTITY, PERIOD, LABEL):
-                raise ValueError(f"field {name!r} is a column of the long format itself")
+        check_field_names(self.fields)
+        check_field_names(self.zscore_fields, "zscore_fields")
         self.schema_config()    # checks the field kinds
         for name in self.zscore_fields:
             if name not in self.fields or name in self.categorical:
@@ -111,34 +105,22 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_split(data_path, cfg):
-    samples = load_csv(data_path, cfg.schema_config())
+def _load_split(data_path, schema_config, cfg):
+    """``data_path`` read through ``schema_config``, split by the config's ratio and seed."""
+    samples = load_csv(data_path, schema_config)
     if len(samples) < 2:
         raise DataError(f"{data_path}: need at least 2 usable entities, got {len(samples)}")
     return split(samples, cfg.ratio, cfg.train.seed)
 
 
 def _load_model(path, cfg):
-    """The checkpoint at ``path``; DataError unless every parameter is finite
-    and the config reads every field of its schema, as the same kind, over
-    the same time span T."""
+    """The checkpoint at ``path`` and the SchemaConfig that reads the data as the
+    training config ``cfg`` did; DataError unless every parameter is finite."""
     model = load_checkpoint(path)
     for p in model.params():
         if not np.isfinite(p.data).all():
             raise DataError(f"{path}: parameter {p.name} holds a non-finite value")
-    if cfg.train.T != model.config.T:
-        raise DataError(f"the config's T = {cfg.train.T} but {path} was trained "
-                        f"with T = {model.config.T}")
-    for f in model.schema:
-        if f.name not in cfg.fields:
-            raise DataError(f"{path} embeds field {f.name!r}, which the config does not list")
-        want = "multi-valued" if f.multi_valued else f.kind
-        got = ("multi-valued" if f.name in cfg.multi_valued else
-               "categorical" if f.name in cfg.categorical else "numerical")
-        if got != want:
-            raise DataError(f"{path} embeds field {f.name!r} as {want}, "
-                            f"but the config lists it as {got}")
-    return model
+    return model, schema_config_of(model.schema, model.config.T, cfg.schema_config())
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +156,9 @@ def cmd_ingest(args, cfg):
 
 
 def cmd_train(args, cfg):
-    ds = _load_split(args.data, cfg)
-    schema = build_schema(ds.train, cfg.schema_config())
+    schema_config = cfg.schema_config()
+    ds = _load_split(args.data, schema_config, cfg)
+    schema = build_schema(ds.train, schema_config)
     with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
         model, trace = train(ds.train, schema, cfg.train, log_every=1)
     # the last update can leave every parameter finite and the forward pass
@@ -191,8 +174,8 @@ def cmd_train(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    model = _load_model(args.model, cfg)
-    ds = _load_split(args.data, cfg)
+    model, schema_config = _load_model(args.model, cfg)
+    ds = _load_split(args.data, schema_config, cfg)
     report = evaluate(model, ds.train + ds.test if args.all else ds.test)
     print(report.as_table())
     print("tp,fp,fn,tn,acc,err1,err2,auc")
@@ -202,20 +185,20 @@ def cmd_eval(args, cfg):
 
 
 def cmd_explain(args, cfg):
-    model = _load_model(args.model, cfg)
+    model, schema_config = _load_model(args.model, cfg)
     eps = model.config.epsilon
     out_dir = Path(args.out)
 
     if args.static:
-        r1 = explain.rank1_attention_weights(model, _load_split(args.data, cfg).test)
+        test = _load_split(args.data, schema_config, cfg).test
+        r1 = explain.rank1_attention_weights(model, test)
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
         print(f"wrote {out_dir / 'patterns.csv'}")
         return 0
 
-    # the schema comes from the checkpoint, so only this entity's rows are read
-    found = load_csv(args.data, cfg.schema_config(), entity=args.entity)
+    found = load_csv(args.data, schema_config, entity=args.entity)
     if not found:
         raise DataError(f"unknown entity id {args.entity!r}")
     out = next(model.score(found))
@@ -230,7 +213,11 @@ def cmd_explain(args, cfg):
 
 
 def cmd_baseline(args, cfg):
-    ds = _load_split(args.data, cfg)
+    if cfg.train.k > 2:
+        raise ConfigError(f"the baselines rate two classes, but the config sets k = {cfg.train.k}")
+    schema_config = cfg.schema_config()
+    ds = _load_split(args.data, schema_config, cfg)
+    _check_labels(ds.train + ds.test, cfg.train.k)
     if args.which == "zscore":
         if len(cfg.zscore_fields) != 5:
             raise ConfigError("zscore baseline needs exactly 5 zscore_fields in config")
@@ -246,7 +233,7 @@ def cmd_baseline(args, cfg):
             labels.append(s.label)
         report = confusion_report(preds, labels)
     else:
-        schema = build_schema(ds.train, cfg.schema_config())
+        schema = build_schema(ds.train, schema_config)
         Xtr = baselines.flatten_samples(ds.train, schema)
         Xte = baselines.flatten_samples(ds.test, schema)
         ytr = np.array([s.label for s in ds.train])
@@ -314,8 +301,9 @@ def cmd_sweep(args, cfg):
         raise ConfigError(f"--values {args.values!r}: {exc}") from exc
     rows = []
     for v, run in zip(values, runs):
-        ds = _load_split(args.data, run)
-        schema = build_schema(ds.train, run.schema_config())
+        schema_config = run.schema_config()
+        ds = _load_split(args.data, schema_config, run)
+        schema = build_schema(ds.train, schema_config)
         with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
             model, _ = train(ds.train, schema, run.train)
         report = evaluate(model, ds.test)

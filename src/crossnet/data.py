@@ -48,6 +48,16 @@ class SchemaConfig:
                 raise ValueError(f"categorical field {name!r} is not a listed field")
 
 
+def check_field_names(names, key="fields"):
+    """ValueError naming the first of ``names`` that repeats an earlier one or
+    is a column of the long format itself; ``key`` names the list."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{key} lists {name!r} twice")
+        if name in (ENTITY, PERIOD, LABEL):
+            raise ValueError(f"field {name!r} is a column of the long format itself")
+
+
 @dataclass
 class FeatureField:
     name: str
@@ -122,8 +132,8 @@ def _parse_multi(cell):
 
 
 def _checked_values(fields, row, path, lineno):
-    """One row's values, converted field by field; None for a row to skip
-    (warned), and DataError naming the line for a bad cell.
+    """One row's values, converted field by field; for a row to skip, the
+    reason as a string; and DataError naming the line for a bad cell.
 
     ``fields`` holds (name, column, kind) with kind 0 numerical,
     1 categorical or 2 multi-valued.
@@ -144,9 +154,7 @@ def _checked_values(fields, row, path, lineno):
             try:
                 x = float(cell)
             except ValueError:
-                log.warning("%s:%d: non-numeric value %r in field %r, row skipped",
-                            path, lineno, cell, name)
-                return None
+                return f"non-numeric value {cell!r} in field {name!r}"
             if x - x and math.isinf(x):     # x - x is 0.0 unless x is inf or nan
                 raise DataError(f"{path}:{lineno}: infinite value {cell!r} in field {name!r}")
             values[name] = x
@@ -201,19 +209,24 @@ def load_csv(path, schema_config, entity=None):
     """Read the long format, returning one SequencedSample per usable entity.
 
     Entities without ``time_span`` consecutive trailing periods are dropped
-    (count logged); rows with non-numeric cells in numerical fields are
-    skipped with a line-level warning. An empty file or a missing column
-    raises DataError naming ``path``; a byte that is not UTF-8, a line the
-    csv module rejects, a short or long row, an infinite numeric cell, a bad
-    multi-valued cell, a non-integer label or a second row for an (entity,
-    period) pair raises DataError naming ``path:line``. Each step's values
-    are keyed in ``schema_config.fields`` order. Given an ``entity`` id, only
-    that entity's rows are checked; every other row is parsed and skipped,
-    and an entity with rows but no usable window raises DataError.
+    (count logged). Rows with a bad period or a non-numeric cell in a
+    numerical field are skipped, and entities whose final period has no
+    label dropped, each logged as a warning naming its line, so a later
+    DataError follows the warnings of the rows before it. An empty file or
+    a missing column raises DataError naming ``path``; a byte that is not
+    UTF-8, a line the csv module rejects, a short or long row, an infinite
+    numeric cell, a bad multi-valued cell, a non-integer label or a second
+    row for an (entity, period) pair raises DataError naming ``path:line``.
+    Each step's values are keyed in ``schema_config.fields`` order. Given an
+    ``entity`` id, only that entity's rows are checked; every other row is
+    parsed and skipped, nothing is logged, and an entity with rows but no
+    usable window raises DataError quoting the first of its warnings.
     """
     T = schema_config.time_span
     by_entity = {}
     seen = False                # whether a row of ``entity`` was read
+    skips = []                  # the entity path's warnings, quoted instead of logged
+    warn = skips.append if entity is not None else lambda warning: log.warning("%s", warning)
     with read_rows(path, [ENTITY, PERIOD, LABEL, *schema_config.fields]) as (width, column, lines):
         entity_col, period_col, label_col = column[ENTITY], column[PERIOD], column[LABEL]
         fields = [(name, column[name], 2 if name in schema_config.multi_valued else
@@ -228,11 +241,11 @@ def load_csv(path, schema_config, entity=None):
             try:
                 period = int(row[period_col])
             except ValueError:
-                log.warning("%s:%d: bad period_index %r, row skipped",
-                            path, lineno, row[period_col])
+                warn(f"{path}:{lineno}: bad period_index {row[period_col]!r}, row skipped")
                 continue
             values = _checked_values(fields, row, path, lineno)
-            if values is None:
+            if isinstance(values, str):
+                warn(f"{path}:{lineno}: {values}, row skipped")
                 continue
             label_cell = row[label_col]
             try:
@@ -260,12 +273,16 @@ def load_csv(path, schema_config, entity=None):
         label = window[-1][2]
         if label is None:
             dropped += 1
-            log.warning("entity %s has no label on its final period, dropped", entity_id)
+            warn(f"{path}:{window[-1][3]}: entity {entity_id} has no label on "
+                 f"its final period, dropped")
             continue
         samples.append(SequencedSample(entity_id, [r[1] for r in window], label))
-    if entity is not None and seen and not samples:
-        raise DataError(f"entity {entity!r} has no {T} consecutive periods "
-                        f"ending in a labeled one")
+    if entity is not None:
+        if seen and not samples:
+            why = f" ({skips[0]})" if skips else ""
+            raise DataError(f"entity {entity!r} has no {T} consecutive periods "
+                            f"ending in a labeled one{why}")
+        return samples
     if dropped:
         log.info("dropped %d entities without %d consecutive labeled periods", dropped, T)
     samples.sort(key=lambda s: s.entity_id)
@@ -334,6 +351,17 @@ def build_schema(train, schema_config):
     if not fields:      # every configured field was dropped above, or none is configured
         raise DataError(f"no usable field among the configured fields {schema_config.fields}")
     return fields
+
+
+def schema_config_of(schema, time_span, config):
+    """The SchemaConfig that reads the data as ``config`` did for build_schema: the
+    fields ``schema`` embeds as it embeds them, over ``time_span``, and the rest as listed."""
+    kept = {f.name for f in schema}
+    categorical = {f.name for f in schema if f.kind == "categorical"}
+    return SchemaConfig(config.fields + [f.name for f in schema if f.name not in config.fields],
+                        (config.categorical - kept) | categorical,
+                        (config.multi_valued - kept) | {f.name for f in schema if f.multi_valued},
+                        time_span)
 
 
 def _numeric_columns(samples, names):

@@ -23,7 +23,7 @@ from .autodiff import Param, Tensor
 from .attention import (FeatureAttentionParams, TemporalAttentionParams,
                         feature_attention, temporal_attention)
 from .crossing import lasso_penalty, make_blocks, run_stack
-from .data import ENTITY, LABEL, PERIOD, FeatureField
+from .data import FeatureField, check_field_names
 from .embedding import EmbeddingLayer
 
 log = logging.getLogger(__name__)
@@ -451,11 +451,7 @@ def load_checkpoint(path):
             if not isinstance(schema, list) or not schema:
                 raise ValueError(f"the schema must be a non-empty list, got {schema!r:.60}")
             schema = [_from_json(FeatureField, f) for f in schema]
-            names = [f.name for f in schema]
-            for i, name in enumerate(names):
-                if name in names[:i] or name in (ENTITY, PERIOD, LABEL):
-                    raise ValueError(f"field {name!r} is repeated or is a column of the "
-                                     f"long format itself")
+            check_field_names([f.name for f in schema], "the schema")
             config = _from_json(TrainConfig, json.loads(config_blob))
         except ValueError as exc:
             raise ValueError(f"{path} has a malformed header: {exc}") from exc

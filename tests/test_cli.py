@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import dataclasses
+import logging
 import math
 import re
+import shutil
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -31,6 +35,23 @@ lr = 0.01
 seed = 3
 ratio = 0.75
 """
+
+
+@contextlib.contextmanager
+def logging_to_stderr():
+    """Write log records to ``sys.stderr`` as it is now (capsys's stream in a
+    test), as ``main``'s handler writes them to the terminal."""
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 def with_line(line):
@@ -420,7 +441,8 @@ class TestExplainCommand:
 
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
-        ds = cli._load_split(data_path, parse_config(config_path))
+        cfg = parse_config(config_path)
+        ds = cli._load_split(data_path, cfg.schema_config(), cfg)
         entity = ds.train[0].entity_id
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),
                    "--config", str(config_path), "--out", str(tmp_path / "expl"),
@@ -528,23 +550,58 @@ class TestExplainCommand:
         header, own, rows = self.entity_rows(data_path, "s00003")
         line, first = own[0]
         assert first[1] == "0"
+        short = tmp_path / "short.csv"
+        why = ""
         if fault == "period 0 removed":
             del rows[line - 1]
         else:
-            for line, _ in own:
-                rows[line - 1][header.index("x1")] = "n/a"     # a non-numeric cell
-        short = tmp_path / "short.csv"
+            for row_line, _ in own:
+                rows[row_line - 1][header.index("x1")] = "n/a"     # a non-numeric cell
+            why = f" ({short}:{line}: non-numeric value 'n/a' in field 'x1', row skipped)"
         with open(short, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert self.explain_entity(short, trained, config_path, tmp_path / "x",
                                    entity="s00003") == 1
         err = capsys.readouterr().err
-        assert ("error: entity 's00003' has no 2 consecutive periods ending in a "
-                "labeled one\n") in err
-        assert "unknown entity id" not in err
+        assert err == (f"error: entity 's00003' has no 2 consecutive periods ending in a "
+                       f"labeled one{why}\n")
         assert not (tmp_path / "x").exists()
         # the other entities still explain
         assert self.explain_entity(short, trained, config_path, tmp_path / "x") == 0
+
+    # the three forms of a skipped row the boundary fuzz found: the cell
+    # changed in the entity's final-period row, and the reason given
+    SKIPPED = {"non-numeric cell": ("x1", "n/a", "non-numeric value 'n/a' in field 'x1', "
+                                                 "row skipped"),
+               "bad period_index": ("period_index", "one", "bad period_index 'one', "
+                                                           "row skipped"),
+               "unlabeled final period": ("label", "", "entity s00003 has no label on its "
+                                                       "final period, dropped")}
+
+    @pytest.mark.parametrize("form", SKIPPED)
+    def test_a_skipped_row_is_named_in_one_line(self, tmp_path, config_path, data_path,
+                                                trained, capsys, form):
+        column, cell, why = self.SKIPPED[form]
+        header, own, rows = self.entity_rows(data_path, "s00003")
+        line, final = own[-1]
+        assert final[1] == "1"
+        rows[line - 1][header.index(column)] = cell
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        with logging_to_stderr():
+            assert self.explain_entity(bad, trained, config_path, tmp_path / "x",
+                                       entity="s00003") == 1
+            # the whole-file load still warns of the row it skips
+            assert main(["eval", "--data", str(bad), "--model", str(trained),
+                         "--config", str(config_path), "--all"]) == 0
+        err, warned = capsys.readouterr().err.split("\n", 1)
+        assert err + "\n" == (
+            f"error: entity 's00003' has no 2 consecutive periods ending in a labeled one "
+            f"({bad}:{line}: {why})\n")
+        assert warned.startswith("WARNING ") and "INFO dropped 1 entities" in warned
+        assert not (tmp_path / "x").exists()
 
 
 class TestBadDataFile:
@@ -554,7 +611,8 @@ class TestBadDataFile:
     @pytest.fixture
     def argv(self, tmp_path, config_path, data_path):
         cfg = parse_config(config_path)
-        schema = build_schema(cli._load_split(data_path, cfg).train, cfg.schema_config())
+        schema = build_schema(cli._load_split(data_path, cfg.schema_config(), cfg).train,
+                              cfg.schema_config())
         ckpt = tmp_path / "m.ckpt"
         model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
         commands = {
@@ -595,7 +653,7 @@ class TestScoringHoldsOneBatch:
         data = tmp_path / "big.csv"
         write_csv(samples, data, synthetic_schema_config(1, 2))
         cfg = parse_config(config_path)
-        ds = cli._load_split(data, cfg)
+        ds = cli._load_split(data, cfg.schema_config(), cfg)
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(ds.train, cfg.schema_config())
         m = model.Model(schema, cfg.train)
@@ -639,7 +697,8 @@ class TestScoringHoldsOneBatch:
         data, ckpt, _ = portfolio
         cfg = tmp_path / "wide_test.cfg"
         cfg.write_text(SMALL_CONFIG.replace("ratio = 0.75", "ratio = 0.25"))
-        ds = cli._load_split(data, parse_config(cfg))
+        parsed = parse_config(cfg)
+        ds = cli._load_split(data, parsed.schema_config(), parsed)
         assert main(["explain", "--data", str(data), "--model", str(ckpt),
                      "--config", str(cfg), "--out", str(tmp_path / "expl"),
                      "--static"]) == 0
@@ -729,6 +788,33 @@ class TestBaselineCommand:
                    "--which", "zscore"])
         assert rc == 0
         assert "acc" in capsys.readouterr().out
+
+    @pytest.fixture
+    def five_field_inputs(self, tmp_path):
+        samples = gen_synthetic_interaction(24, T=2, noise_fields=3, seed=0)
+        data, cfg = tmp_path / "data.csv", tmp_path / "z.cfg"
+        cfg.write_text(FIVE_FIELD_CONFIG)
+        return samples, data, cfg
+
+    @pytest.mark.parametrize("which", ["lr", "zscore"])
+    def test_more_than_two_classes_is_a_config_error(self, five_field_inputs, capsys, which):
+        samples, data, cfg = five_field_inputs
+        write_csv(samples, data, synthetic_schema_config(3, 2))
+        cfg.write_text(FIVE_FIELD_CONFIG + "k = 3\n")
+        rc = main(["baseline", "--data", str(data), "--config", str(cfg), "--which", which])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: the baselines rate two classes, but the config sets k = 3\n")
+
+    @pytest.mark.parametrize("which", ["lr", "zscore"])
+    def test_a_label_outside_the_classes_exits_one(self, five_field_inputs, capsys, which):
+        samples, data, cfg = five_field_inputs
+        samples[5].label = 2
+        write_csv(samples, data, synthetic_schema_config(3, 2))
+        rc = main(["baseline", "--data", str(data), "--config", str(cfg), "--which", which])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: entity 's00005' has label 2, "
+                                           "outside [0, 2)\n")
 
 
 class TestGradcheckCommand:
@@ -878,7 +964,7 @@ class TestNonFiniteScores:
         if argv[0] != "sweep":
             # train refuses to save this model, so it is trained and saved here
             parsed = parse_config(cfg)
-            ds = cli._load_split(data, parsed)
+            ds = cli._load_split(data, parsed.schema_config(), parsed)
             with np.errstate(all="ignore"):
                 trained, _ = model.train(ds.train, build_schema(ds.train, parsed.schema_config()),
                                          parsed.train)
@@ -903,7 +989,8 @@ class TestNonFiniteCheckpoint:
     def test_eval_exits_one_before_reading_data(self, tmp_path, config_path, data_path,
                                                 capsys, name, index, value):
         cfg = parse_config(config_path)
-        schema = build_schema(cli._load_split(data_path, cfg).train, cfg.schema_config())
+        schema = build_schema(cli._load_split(data_path, cfg.schema_config(), cfg).train,
+                              cfg.schema_config())
         m = model.Model(schema, cfg.train)
         m.named_params()[name].data[index] = value
         ckpt = tmp_path / "m.ckpt"
@@ -919,7 +1006,7 @@ class TestNonFiniteCheckpoint:
 class TestMalformedCheckpoint:
     def test_eval_exits_one_with_a_message(self, tmp_path, config_path, data_path, capsys):
         cfg = parse_config(config_path)
-        samples = cli._load_split(data_path, cfg).train
+        samples = cli._load_split(data_path, cfg.schema_config(), cfg).train
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(samples, cfg.schema_config())
         model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
@@ -932,17 +1019,20 @@ class TestMalformedCheckpoint:
         assert f"{ckpt} has a malformed header: d must be >= 1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["x1", "label"])
+    NAME_RULE = {"x1": "the schema lists 'x1' twice",
+                 "label": "field 'label' is a column of the long format itself"}
+
+    @pytest.mark.parametrize("name", NAME_RULE)
     def test_a_repeated_or_reserved_field_name_is_malformed(self, tmp_path, config_path,
                                                             data_path, capsys, name):
         cfg = parse_config(config_path)
-        samples = cli._load_split(data_path, cfg).train
+        samples = cli._load_split(data_path, cfg.schema_config(), cfg).train
         schema = [dataclasses.replace(f, name=name if f.name == "noise0" else f.name)
                   for f in build_schema(samples, cfg.schema_config())]
         ckpt = tmp_path / "m.ckpt"
         model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
-        with pytest.raises(ValueError, match=f"{ckpt} has a malformed header: field "
-                                             f"{name!r} is repeated"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{ckpt} has a malformed header: {self.NAME_RULE[name]}")):
             model.load_checkpoint(ckpt)
         rc = main(["eval", "--data", str(data_path), "--model", str(ckpt),
                    "--config", str(config_path)])
@@ -952,8 +1042,12 @@ class TestMalformedCheckpoint:
 
 
 class TestCheckpointAgainstConfig:
-    """eval and explain refuse a config that reads the data otherwise than the
-    checkpoint's schema embeds it."""
+    """eval and explain read the fields the checkpoint embeds as it embeds
+    them, over its T, so a config that lists them otherwise gives the same
+    output as the training config; from the config they take its ratio, its
+    seed and the fields the model dropped. The ids of
+    test_a_mismatch_exits_one_naming_it are kept as lists of passing tests
+    name them; it checks that a mismatch gives the training config's output."""
 
     FIELDS = "fields = x1, x2, noise0, sector, segments\n"
     KINDS = "categorical = sector, segments\nmulti_valued = segments\n"
@@ -979,28 +1073,68 @@ class TestCheckpointAgainstConfig:
     COMMANDS = {"eval": ["eval"], "static": ["explain", "--static"],
                 "entity": ["explain", "--entity", "s00000"]}
     MISMATCHES = {
-        "missing": ((FIELDS, "fields = x1, x2, sector, segments\n"),
-                    "embeds field 'noise0', which the config does not list"),
-        "T": (("T = 2\n", "T = 3\n"), "the config's T = 3 but .* with T = 2"),
-        "numerical": ((KINDS, "categorical = segments\nmulti_valued = segments\n"),
-                      "field 'sector' as categorical, but the config lists it as numerical"),
-        "single": ((KINDS, "categorical = sector, segments\n"),
-                   "field 'segments' as multi-valued, but the config lists it as categorical"),
+        "missing": (FIELDS, "fields = x1, x2, sector, segments\n"),
+        "T": ("T = 2\n", "T = 3\n"),
+        "numerical": (KINDS, "categorical = segments\nmulti_valued = segments\n"),
+        "single": (KINDS, "categorical = sector, segments\n"),
     }
+
+    def run(self, tmp_path, argv, data, ckpt, config, capsys):
+        """Exit code, stdout, stderr and the files written of one command,
+        run with ``config`` as its config file."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out_dir = tmp_path / "expl"
+        capsys.readouterr()
+        rc = main(argv[:1] + ["--data", str(data), "--model", str(ckpt), "--config", str(cfg)]
+                  + (["--out", str(out_dir)] + argv[1:] if argv[1:] else []))
+        files = {}
+        if out_dir.exists():
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            shutil.rmtree(out_dir)
+        return rc, capsys.readouterr(), files
 
     @pytest.mark.parametrize("mismatch", MISMATCHES)
     @pytest.mark.parametrize("command", COMMANDS)
     def test_a_mismatch_exits_one_naming_it(self, tmp_path, setup, capsys, command,
                                             mismatch):
         data, ckpt, config = setup
-        (old, new), message = self.MISMATCHES[mismatch]
-        cfg = tmp_path / "other.cfg"
-        cfg.write_text(config.replace(old, new))
+        old, new = self.MISMATCHES[mismatch]
         argv = self.COMMANDS[command]
-        rc = main(argv[:1] + ["--data", str(data), "--model", str(ckpt), "--config", str(cfg)]
-                  + (["--out", str(tmp_path / "expl")] + argv[1:] if argv[1:] else []))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert re.search(message, err), err
-        assert "Traceback" not in err
-        assert not (tmp_path / "expl").exists()
+        matching = self.run(tmp_path, argv, data, ckpt, config, capsys)
+        assert matching[0] == 0 and matching[1].out
+        assert self.run(tmp_path, argv, data, ckpt, config.replace(old, new),
+                        capsys) == matching
+
+    def test_eval_splits_as_train_did(self, tmp_path, capsys):
+        samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)
+        for s in samples:
+            for step in s.steps:
+                step["flat"] = 1.0      # zero variance: build_schema drops it
+        config = SMALL_CONFIG.replace("fields = x1, x2, noise0", "fields = x1, x2, noise0, flat")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        data = tmp_path / "data.csv"
+        fields = ["x1", "x2", "noise0", "flat"]
+        write_csv(samples, data, SchemaConfig(fields=fields, time_span=2))
+        rows = list(csv.reader(open(data, newline="")))
+        rows[2][rows[0].index("flat")] = "n/a"     # the first entity's final period
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(cfg_path),
+                     "--out", str(ckpt)]) == 0
+        assert [f.name for f in model.load_checkpoint(ckpt).schema] == fields[:3]
+        cfg = cli.parse_config(cfg_path)
+        trained = cli._load_split(data, cfg.schema_config(), cfg)
+        assert len(trained.train) + len(trained.test) == len(samples) - 1
+        _, schema_config = cli._load_model(ckpt, cfg)
+        evaluated = cli._load_split(data, schema_config, cfg)
+        for part in ("train", "test"):
+            assert ([s.entity_id for s in getattr(evaluated, part)]
+                    == [s.entity_id for s in getattr(trained, part)])
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(cfg_path)]) == 0
+        counts = capsys.readouterr().out.strip().splitlines()[-1].split(",")[:4]
+        assert sum(map(int, counts)) == len(trained.test)

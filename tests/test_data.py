@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import tempfile
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossnet.data import (DataError, EncodedBatch, FeatureField, SchemaConfig,
-                           SequencedSample, build_schema, encode, gen_synthetic_interaction,
-                           load_csv, normalize, split, synthetic_schema_config, write_csv)
+                           SequencedSample, build_schema, check_field_names, encode,
+                           gen_synthetic_interaction, load_csv, normalize, schema_config_of,
+                           split, synthetic_schema_config, write_csv)
 
 
 @pytest.fixture
@@ -75,6 +77,40 @@ class TestLoadCsv:
                      "entity_id,period_index,f1,f2,label\n"
                      "a,0,1,1,\n" "a,1,oops,1,\n" "a,2,1,1,1\n")
         assert load_csv(path, basic_config) == []  # gap created by the bad row
+
+    SKIPS = ("entity_id,period_index,f1,f2,label\n"
+             "a,0,1,1,\n" "a,x,1,1,\n" "a,2,oops,1,1\n" "b,0,1,1,\n" "b,1,2,1,\n" "b,2,3,1,\n")
+
+    def test_warnings_are_logged_as_the_file_is_read(self, tmp_path, basic_config, caplog):
+        caplog.set_level(logging.INFO, logger="crossnet.data")
+        path = write(tmp_path / "d.csv", self.SKIPS)
+        assert load_csv(path, basic_config) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:3: bad period_index 'x', row skipped",
+            f"{path}:4: non-numeric value 'oops' in field 'f1', row skipped",
+            f"{path}:7: entity b has no label on its final period, dropped",
+            "dropped 2 entities without 3 consecutive labeled periods"]
+        caplog.clear()
+        # a load that stops on an error has logged the rows skipped before it
+        bad = write(tmp_path / "bad.csv", self.SKIPS + "c,0,1,1,yes\n")
+        with pytest.raises(DataError, match=r"bad\.csv:8: label 'yes' is not an integer$"):
+            load_csv(bad, basic_config)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{bad}:3: bad period_index 'x', row skipped",
+            f"{bad}:4: non-numeric value 'oops' in field 'f1', row skipped"]
+
+    @pytest.mark.parametrize("entity, line, why", [
+        ("a", 3, "bad period_index 'x', row skipped"),
+        ("b", 7, "entity b has no label on its final period, dropped")])
+    def test_an_entity_without_a_window_quotes_its_first_warning(self, tmp_path, basic_config,
+                                                                 caplog, entity, line, why):
+        caplog.set_level(logging.INFO, logger="crossnet.data")
+        path = write(tmp_path / "d.csv", self.SKIPS)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, basic_config, entity=entity)
+        assert str(exc.value) == (f"entity {entity!r} has no 3 consecutive periods ending in "
+                                  f"a labeled one ({path}:{line}: {why})")
+        assert caplog.records == []
 
     def test_non_integer_label_names_line(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv",
@@ -381,6 +417,45 @@ class TestBuildSchema:
     def test_empty_train_rejected(self, basic_config):
         with pytest.raises(DataError):
             build_schema([], basic_config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_schema_cases())
+    def test_schema_config_of_is_its_inverse(self, case):
+        samples, cfg = case
+        schema = build_schema(samples, cfg)
+        assert schema_config_of(schema, cfg.time_span, cfg) == cfg
+        back = schema_config_of(schema, cfg.time_span, SchemaConfig(fields=[]))
+        assert back.fields == [f.name for f in schema]
+        assert (back.categorical, back.multi_valued, back.time_span) == (
+            {"c", "m"}, {"m"}, cfg.time_span)
+        assert repr([asdict(f) for f in build_schema(samples, back)]) == repr(
+            [asdict(f) for f in schema])
+
+    def test_schema_config_of_takes_the_schema_over_the_config(self):
+        schema = [FeatureField("x", "numerical", mean=0.0, std=1.0),
+                  FeatureField("m", "categorical", vocab=["a"], multi_valued=True)]
+        listed = SchemaConfig(fields=["flat", "x", "c"], categorical={"x", "c"},
+                              multi_valued={"x"}, time_span=2)
+        assert schema_config_of(schema, 3, listed) == SchemaConfig(
+            fields=["flat", "x", "c", "m"], categorical={"c", "m"}, multi_valued={"m"},
+            time_span=3)
+
+
+class TestCheckFieldNames:
+    @pytest.mark.parametrize("names, message", [
+        (["a", "b", "a", "b"], "fields lists 'a' twice"),
+        (["a", "period_index", "a"], "field 'period_index' is a column of the long format "
+                                     "itself"),
+        (["entity_id"], "field 'entity_id' is a column of the long format itself"),
+    ])
+    def test_the_first_fault_is_named(self, names, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_field_names(names)
+
+    def test_the_key_names_the_list(self):
+        with pytest.raises(ValueError, match="^the schema lists 'x' twice$"):
+            check_field_names(["x", "x"], "the schema")
+        check_field_names(["x", "y", "labels"])
 
 
 def normalize_ref(sample, schema):

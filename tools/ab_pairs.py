@@ -15,6 +15,13 @@ The table gives, per metric, the median [first–third quartile] of each
 side, change ÷ parent of the medians, and in how many pairs the change was
 better (by the metric's direction in BENCHMARK.json; raw figures follow
 their gated metric, host factors have none).
+
+With a new run, ``--bench DIR`` appends one entry per workload to
+``DIR/BENCH_<workload>.json``, a JSON list kept across runs: both
+checkouts' commits (``+dirty`` when a checkout's files differ from its
+commit), the seeds, the seconds, each side's failed and attempted
+operations, and per side the median and quartiles of every gated, raw and
+host-factor figure.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCH_NOTE = ("train_small's gated figures carry the probe artifact: its generation-2 "
+              "collections land inside the host-speed probes, which read the host as slow "
+              "and so inflate them, until the probes run with the collector off "
+              "(ROADMAP item 1a). Its raw figures do not carry it.")
 
 
 def parse_seeds(text):
@@ -129,6 +140,50 @@ def table(results, better, named):
     return "\n".join(rows + [""] + notes)
 
 
+def checkout_sha(checkout):
+    """The checkout's HEAD commit, with ``+dirty`` when its files differ from
+    it; None if it is not a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                               text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    return head.stdout.strip() + ("+dirty" if git("status", "--porcelain").stdout else "")
+
+
+def bench_entry(pairs, shas, seconds):
+    """One BENCH_<workload>.json entry for a workload's pairs."""
+    figures = {}
+    for kind in ("metrics", "named"):
+        names = sorted({n for p in pairs for s in SIDES for n in p[s][kind]})
+        for name in names:
+            if kind == "named" and not name.startswith(("raw.", "host.")):
+                continue
+            figures[name] = {}
+            for side in SIDES:
+                values = [p[side][kind][name] for p in pairs if name in p[side][kind]]
+                if values:
+                    med, q1, q3 = spread(values)
+                    figures[name][side] = {"median": med, "q1": q1, "q3": q3}
+    return {"parent": shas["parent"], "change": shas["change"],
+            "seeds": [p["seed"] for p in pairs], "seconds": seconds, "note": BENCH_NOTE,
+            "operations": {s: {"failed": sum(p[s]["failed"] for p in pairs),
+                               "attempted": sum(p[s]["attempted"] for p in pairs)}
+                           for s in SIDES},
+            "figures": figures}
+
+
+def append_bench(directory, results, shas, seconds):
+    """Append each workload's entry to ``directory/BENCH_<workload>.json``."""
+    for workload, pairs in results.items():
+        path = Path(directory) / f"BENCH_{workload}.json"
+        entries = json.loads(path.read_text()) if path.exists() else []
+        entries.append(bench_entry(pairs, shas, seconds))
+        path.write_text(json.dumps(entries, indent=1) + "\n")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="checkout of the parent commit")
@@ -139,9 +194,13 @@ def main(argv=None):
     p.add_argument("--named", default="", help="comma-separated named figures to add")
     p.add_argument("--save", help="write the raw results here as JSON")
     p.add_argument("--load", help="print the table of saved results instead of running")
+    p.add_argument("--bench", metavar="DIR",
+                   help="append one entry per workload to DIR/BENCH_<workload>.json")
     args = p.parse_args(argv)
     named = [n for n in args.named.split(",") if n]
     if args.load:
+        if args.bench:
+            p.error("--bench records a new run, so it cannot go with --load")
         saved = json.loads(Path(args.load).read_text())
         results, benchmark = saved["results"], saved["benchmark"]
         named = named or saved.get("named", [])
@@ -149,12 +208,15 @@ def main(argv=None):
         if not (args.parent and args.change):
             p.error("--parent and --change are needed unless --load is given")
         checkouts = {"parent": args.parent, "change": args.change}
+        shas = {side: checkout_sha(checkout) for side, checkout in checkouts.items()}
         benchmark = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
         results = run_pairs(checkouts, args.workloads.split(","),
                             parse_seeds(args.seeds), args.seconds)
         if args.save:
             Path(args.save).write_text(json.dumps(
                 {"results": results, "benchmark": benchmark, "named": named}))
+        if args.bench:
+            append_bench(args.bench, results, shas, args.seconds)
     print(table(results, directions(benchmark), named))
     return 0
 
