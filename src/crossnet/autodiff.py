@@ -5,31 +5,39 @@ graph; calling ``backward`` on a scalar result accumulates into the
 ``grad`` buffer of every reachable Param. Inside ``no_grad()`` ops record
 nothing: each result is a bare Tensor with no parents and no gradient rule,
 so a forward-only pass keeps no inputs alive and builds no reference cycles.
+The mode is kept per thread: ``no_grad`` in one thread leaves graph building
+on in every other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block; nests, and restores the mode on exit."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Build no graph inside the block in this thread; nests, and restores the
+    mode on exit."""
+    saved = _mode.enabled
+    _mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _mode.enabled = saved
 
 
 def grad_enabled():
-    return _grad_enabled
+    return _mode.enabled
 
 
 class ShapeError(ValueError):
@@ -43,7 +51,8 @@ class Tensor:
 
     def __init__(self, data, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
-        self._parents = _parents if _grad_enabled else ()
+        # the one read of the grad mode per op: its rule is kept only with parents
+        self._parents = _parents if _parents and _mode.enabled else ()
         self._backward = None
 
     @property
@@ -87,12 +96,13 @@ def _unbroadcast(grad, shape):
 
 
 def _record(out, backward):
-    """Give an op's result its gradient rule; under ``no_grad`` it keeps none.
+    """Give an op's result its gradient rule; under ``no_grad`` the result has no
+    parents and keeps none.
 
     Ops make their result before its rule. That order decides where the cyclic
     collector runs during training, which perfbench's host-speed probes pick up.
     """
-    if _grad_enabled:
+    if out._parents:
         out._backward = backward
     return out
 

@@ -105,12 +105,13 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_split(data_path, schema_config, cfg):
-    """``data_path`` read through ``schema_config``, split by the config's ratio and seed."""
+def _load_split(data_path, schema_config, cfg, seed=None):
+    """``data_path`` read through ``schema_config``, split by the config's ratio and
+    by ``seed``, the config's training seed unless given."""
     samples = load_csv(data_path, schema_config)
     if len(samples) < 2:
         raise DataError(f"{data_path}: need at least 2 usable entities, got {len(samples)}")
-    return split(samples, cfg.ratio, cfg.train.seed)
+    return split(samples, cfg.ratio, cfg.train.seed if seed is None else seed)
 
 
 def _load_model(path, cfg):
@@ -175,7 +176,7 @@ def cmd_train(args, cfg):
 
 def cmd_eval(args, cfg):
     model, schema_config = _load_model(args.model, cfg)
-    ds = _load_split(args.data, schema_config, cfg)
+    ds = _load_split(args.data, schema_config, cfg, model.config.seed)
     report = evaluate(model, ds.train + ds.test if args.all else ds.test)
     print(report.as_table())
     print("tp,fp,fn,tn,acc,err1,err2,auc")
@@ -190,11 +191,15 @@ def cmd_explain(args, cfg):
     out_dir = Path(args.out)
 
     if args.static:
-        test = _load_split(args.data, schema_config, cfg).test
+        test = _load_split(args.data, schema_config, cfg, model.config.seed).test
         r1 = explain.rank1_attention_weights(model, test)
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
+        ranks = {p.rank for p in patterns}
+        for rank in range(2, len(model.blocks) + 2):
+            if rank not in ranks:
+                print(f"rank {rank}: no pattern survives epsilon = {eps:g}")
         print(f"wrote {out_dir / 'patterns.csv'}")
         return 0
 

@@ -265,7 +265,7 @@ def cross_block(X1, Xprev, a, w_pca):
     else:
         mixed = _sign_split_mix(xp, x1, scale, w_pca.data)
     out = ad.Tensor(mixed.reshape(B, T, d, c_o).transpose(0, 1, 3, 2), (X1, Xprev, a, w_pca))
-    if not ad.grad_enabled():
+    if not out._parents:        # built under no_grad
         return out
 
     def _bw(g, acc):

@@ -8,12 +8,14 @@ crossing-block selection matrices, with plain minibatch SGD.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import operator
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,6 +32,8 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DCRS1"
 SCORE_BYTES = 1 << 20   # bytes of the [B, T, N, d] stack per forward pass when scoring
+# the variables a BLAS reads its thread count from, the first one set deciding
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class TrainingDiverged(RuntimeError):
@@ -231,23 +235,51 @@ class Model:
         """Score raw samples forward-only, ``score_batch`` at a time.
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
-        batch, in order. ``no_grad`` ends before each yield, so it is never
-        held while the caller runs. Finite parameters can still overflow in
-        the forward pass: a ValueError names the first entity of a batch
-        with a non-finite value in any of the four arrays.
+        batch, in order. With two or more batches, more than one CPU and a
+        BLAS on one thread (``two_scoring_threads``), the calling thread scores
+        the even batches and one helper thread the odd ones, each odd batch
+        started with the even one before it, so at most two are in flight.
+        ``no_grad`` ends before each yield, so it is never held while the
+        caller runs, and the helper is stopped before ``score`` returns or
+        raises. Finite parameters can still overflow in the forward pass: a
+        ValueError names the first entity, in sample order, with a non-finite
+        value in any of the four arrays.
         """
         size = self.score_batch
-        for start in range(0, len(samples), size):
+        starts = range(0, len(samples), size)
+
+        def scored(start):
             with ad.no_grad(), np.errstate(all="ignore"):
                 fwd = self.forward(samples[start:start + size])
             # keep only the four arrays across the yield, not the rank stack
-            fwd = {k: fwd[k].data for k in ("y", "r", "p", "q")}
+            return {k: fwd[k].data for k in ("y", "r", "p", "q")}
+
+        def checked(start, fwd):
             finite = np.isfinite(np.hstack(tuple(fwd.values()))).all(axis=1)
             if not finite.all():
                 bad = samples[start + int(finite.argmin())]
                 raise ValueError(f"entity {bad.entity_id!r} scores non-finite: the model's "
                                  f"forward pass overflows")
-            yield fwd
+            return fwd
+
+        # leaving the block waits for the helper; when an earlier batch's error or
+        # the caller's close ends the scoring, the odd batch's result is dropped
+        helper = ThreadPoolExecutor(1) if len(starts) > 1 and two_scoring_threads() else None
+        with helper or contextlib.nullcontext():
+            for start in starts[::2]:
+                odd = start + size
+                ahead = helper.submit(scored, odd) if helper and odd < len(samples) else None
+                yield checked(start, scored(start))
+                if odd < len(samples):
+                    yield checked(odd, ahead.result() if ahead else scored(odd))
+
+
+def two_scoring_threads():
+    """Whether ``Model.score`` takes a helper thread: more than one CPU, and a BLAS
+    started on one thread. A BLAS on several threads keeps its idle workers
+    spinning, and two scoring threads then contend with them for the CPUs."""
+    threads = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), "")
+    return (os.cpu_count() or 1) > 1 and threads.strip() == "1"
 
 
 def objective(batch, model, config):

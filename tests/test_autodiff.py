@@ -1,5 +1,7 @@
 import gc
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -266,6 +268,101 @@ class TestNoGrad:
         p = ad.Param(np.ones(2), name="p")
         ad.backward(ad.tsum(ad.mul(p, p)))
         np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+
+    def loss_grads(self):
+        """Fresh inputs, and their grads after backward through every op, summed."""
+        x, y = self.inputs()
+        total = ad.Tensor(0.0)
+        for t in every_op(x, y):
+            total = ad.add(total, ad.tsum(t))
+        ad.backward(total)
+        return x.grad, y.grad
+
+    def in_other_thread(self, fn):
+        """Start the generator ``fn()`` in a new thread and wait for its first
+        yield. Returns the thread, the event that lets it run on to its end,
+        and the list of values it yields."""
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def body():
+            steps = fn()
+            seen.append(next(steps))
+            entered.set()
+            assert release.wait(10)
+            seen.extend(steps)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        assert entered.wait(10)
+        return thread, release, seen
+
+    def test_another_threads_no_grad_leaves_this_one_building(self):
+        expected = self.loss_grads()
+
+        def holds_no_grad():
+            with ad.no_grad():
+                yield ad.grad_enabled()
+                yield ad.grad_enabled()
+
+        thread, release, seen = self.in_other_thread(holds_no_grad)
+        try:
+            assert ad.grad_enabled()
+            got = self.loss_grads()
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [False, False]
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_this_threads_no_grad_leaves_another_building(self):
+        expected = self.loss_grads()
+
+        def builds():
+            yield ad.grad_enabled()
+            yield self.loss_grads()
+
+        with ad.no_grad():
+            thread, release, seen = self.in_other_thread(builds)
+            release.set()
+            thread.join(10)
+            assert not ad.grad_enabled()
+        assert not thread.is_alive()
+        assert seen[0] is True
+        for g, e in zip(seen[1], expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_threads_switching_modes_keep_their_own(self):
+        # more threads than cores, switching often: a mode shared between
+        # threads would give some op the other mode's result
+        x, _ = self.inputs()
+        wrong = []
+
+        def switch(rounds=300):
+            try:
+                for _ in range(rounds):
+                    with ad.no_grad():
+                        if ad.mul(x, x)._parents:
+                            wrong.append("graph under no_grad")
+                    if not ad.mul(x, x)._parents:
+                        wrong.append("no graph in grad mode")
+            except Exception as exc:
+                wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=switch) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_backward_rejects_a_loss_without_a_graph(self):
         p = ad.Param(np.array([1.0, 2.0]), name="p")

@@ -7,6 +7,7 @@ import re
 import shutil
 import struct
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -418,6 +419,33 @@ class TestExplainCommand:
         ranks = {r[0] for r in rows[1:]}
         assert "1" in ranks
 
+    @pytest.mark.parametrize("zeroed, silent", [
+        ((), ()),
+        (("cross2", "cross3"), (2, 3)),
+        (("cross3",), (3,)),
+    ], ids=["none", "every_block", "block_2"])
+    def test_a_rank_without_a_pattern_is_named(self, tmp_path, data_path, capsys, zeroed,
+                                               silent):
+        cfg = tmp_path / "two_blocks.cfg"
+        cfg.write_text(with_line("rank_widths = 3, 2"))
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        m = model.load_checkpoint(ckpt)
+        for block in m.blocks:
+            if block.w_pca.name.split(".")[0] in zeroed:
+                block.w_pca.data[...] = 0.0
+        model.save_checkpoint(m, ckpt)
+        out_dir = tmp_path / "expl"
+        capsys.readouterr()
+        assert main(["explain", "--data", str(data_path), "--model", str(ckpt),
+                     "--config", str(cfg), "--out", str(out_dir), "--static"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"rank {rank}: no pattern survives epsilon = 0.0001\n" for rank in silent
+        ) + f"wrote {out_dir / 'patterns.csv'}\n"
+        rows = list(csv.reader(open(out_dir / "patterns.csv")))
+        assert {int(r[0]) for r in rows[1:]} == {1, 2, 3} - set(silent)
+
     def test_entity_files(self, tmp_path, config_path, data_path, trained):
         out_dir = tmp_path / "expl"
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),
@@ -663,18 +691,18 @@ class TestScoringHoldsOneBatch:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """("encode", n) for each batch of n samples encoded, and ("forward", n)
-        for each forward pass on n samples."""
+        """("encode", n, thread) for each batch of n samples encoded, and
+        ("forward", n, thread) for each forward pass on n samples."""
         log = []
 
         def counting_encode(samples, schema):
-            log.append(("encode", len(samples)))
+            log.append(("encode", len(samples), threading.get_ident()))
             return encode(samples, schema)
 
         forward = model.Model.forward
 
         def logging_forward(self, batch):
-            log.append(("forward", len(batch)))
+            log.append(("forward", len(batch), threading.get_ident()))
             return forward(self, batch)
 
         monkeypatch.setattr(embedding, "encode", counting_encode)
@@ -682,9 +710,13 @@ class TestScoringHoldsOneBatch:
         return log
 
     def assert_one_batch_at_a_time(self, log, n_samples):
-        # each forward pass encodes its own batch, and nothing else is encoded
-        sizes = [n for _, n in log[::2]]
-        assert log == [(event, n) for n in sizes for event in ("forward", "encode")]
+        # in each scoring thread, each forward pass encodes its own batch, and
+        # nothing else is encoded
+        sizes = []
+        for thread in {t for _, _, t in log}:
+            events = [(event, n) for event, n, t in log if t == thread]
+            sizes += [n for _, n in events[::2]]
+            assert events == [(event, n) for _, n in events[::2] for event in ("forward", "encode")]
         assert max(sizes) <= 256 and sum(sizes) == n_samples and len(sizes) > 1
 
     def test_eval(self, config_path, portfolio, events, capsys):
@@ -1105,6 +1137,20 @@ class TestCheckpointAgainstConfig:
         assert matching[0] == 0 and matching[1].out
         assert self.run(tmp_path, argv, data, ckpt, config.replace(old, new),
                         capsys) == matching
+
+    def test_eval_splits_with_the_checkpoints_seed(self, tmp_path, data_path, config_path,
+                                                   capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data_path), "--config", str(config_path),
+                     "--out", str(ckpt)]) == 0
+        argv = ["eval", "--data", str(data_path), "--model", str(ckpt), "--config"]
+        capsys.readouterr()
+        assert main(argv + [str(config_path)]) == 0
+        trained = capsys.readouterr()
+        other = tmp_path / "seed4.cfg"
+        other.write_text(with_line("seed = 4"))
+        assert main(argv + [str(other)]) == 0
+        assert capsys.readouterr() == trained
 
     def test_eval_splits_as_train_did(self, tmp_path, capsys):
         samples = gen_synthetic_interaction(24, T=2, noise_fields=1, seed=0)

@@ -2,6 +2,7 @@ import json
 import re
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossnet import autodiff as ad
+from crossnet import model as model_module
 from crossnet.autodiff import Tensor
 from crossnet.crossing import lasso_penalty
 from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_schema_config
-from crossnet.model import (SCORE_BYTES, GruParams, Model, OutputParams, TrainConfig,
-                            auc, confusion_report, evaluate, gru_forward,
+from crossnet.model import (BLAS_THREAD_VARS, SCORE_BYTES, GruParams, Model, OutputParams,
+                            TrainConfig, auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
-                            save_checkpoint, time_concat, train)
+                            save_checkpoint, time_concat, train, two_scoring_threads)
 
 from test_data import SPECIAL_CELLS, encoding_cases, gather_ref, normalize_ref
 
@@ -248,6 +250,117 @@ class TestScore:
         monkeypatch.setattr(Model, "forward", no_forward)
         with pytest.raises(ValueError, match="has label 2, outside"):
             evaluate(model, samples)
+
+
+class TestTwoScoringThreads:
+    """Model.score with its helper thread: the caller scores the even batches and
+    the helper the odd ones, each yielded in order, checked, and the helper
+    stopped however the scoring ends."""
+
+    SIZE = 16
+
+    @pytest.fixture
+    def scoring(self, monkeypatch):
+        """A model scoring SIZE samples a batch with its helper, and the thread
+        that ran each forward pass, by the entity id of its first sample."""
+        monkeypatch.setattr(model_module, "two_scoring_threads", lambda: True)
+        probe = gen_synthetic_interaction(8, 2, 1, seed=0)
+        m = Model(build_schema(probe, synthetic_schema_config(1, 2)), small_config())
+        # T=2, N=6, d=4: 384 bytes of the stack a sample
+        monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
+        assert m.score_batch == self.SIZE
+        threads = {}
+        forward = Model.forward
+
+        def logging_forward(self, batch):
+            threads[batch[0].entity_id] = threading.get_ident()
+            return forward(self, batch)
+
+        monkeypatch.setattr(Model, "forward", logging_forward)
+        return m, threads
+
+    @pytest.mark.parametrize("n", [1, SIZE, SIZE + 1, 3 * SIZE + 1])
+    def test_batches_match_one_forward_each_in_order(self, scoring, n):
+        m, threads = scoring
+        samples = gen_synthetic_interaction(n, 2, 1, seed=1)
+        before = threading.active_count()
+        got = list(m.score(samples))
+        assert threading.active_count() == before
+        starts = range(0, n, self.SIZE)
+        assert [len(out["y"]) for out in got] == [len(samples[s:s + self.SIZE]) for s in starts]
+        caller = threading.get_ident()
+        assert [threads[samples[s].entity_id] == caller for s in starts] == [
+            i % 2 == 0 for i in range(len(starts))]
+        for out, start in zip(got, starts):
+            want = m.forward(samples[start:start + self.SIZE])
+            for k in ("y", "r", "p", "q"):
+                assert out[k].tobytes() == want[k].data.tobytes()
+
+    def test_the_first_non_finite_entity_in_an_odd_batch_is_named(self, scoring, monkeypatch):
+        m, _ = scoring
+        samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
+        bad = {samples[self.SIZE + 3].entity_id, samples[2 * self.SIZE].entity_id}
+        forward = Model.forward
+
+        def overflowing(self, batch):
+            fwd = forward(self, batch)
+            for i, s in enumerate(batch):
+                if s.entity_id in bad:
+                    fwd["r"].data[i, 0] = np.inf
+            return fwd
+
+        monkeypatch.setattr(Model, "forward", overflowing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"entity '{samples[self.SIZE + 3].entity_id}' "
+                                             f"scores non-finite"):
+            evaluate(m, samples)
+        assert threading.active_count() == before
+
+    def test_an_exception_in_the_helper_reaches_the_caller_at_its_batch(self, scoring):
+        m, _ = scoring
+        samples = gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)
+        samples[self.SIZE + 1].steps.pop()
+        before = threading.active_count()
+        got = []
+        with pytest.raises(ValueError, match="every sample in a batch needs 2 steps"):
+            for out in m.score(samples):
+                got.append(out)
+        assert len(got) == 1
+        assert threading.active_count() == before
+
+    def test_evaluate_and_a_break_leave_no_helper(self, scoring):
+        m, threads = scoring
+        samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
+        before = threading.active_count()
+        evaluate(m, samples)
+        assert threading.active_count() == before
+        for _ in m.score(samples):
+            assert threading.active_count() == before + 1
+            break
+        assert threading.active_count() == before
+        assert len(set(threads.values())) == 2
+
+    def test_the_helper_needs_two_cpus_and_a_blas_on_one_thread(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 2)
+        assert not two_scoring_threads()
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert two_scoring_threads()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert not two_scoring_threads()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 1)
+        assert not two_scoring_threads()
+
+    def test_without_the_helper_no_thread_is_started(self, monkeypatch):
+        monkeypatch.setattr(model_module, "two_scoring_threads", lambda: False)
+        monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
+        samples, schema = make_dataset(n=3 * self.SIZE)
+        m = Model(schema, small_config())
+        before = threading.active_count()
+        for _ in m.score(samples):
+            assert threading.active_count() == before
 
 
 class TestTrain:
