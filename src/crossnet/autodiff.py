@@ -12,32 +12,32 @@ on in every other.
 from __future__ import annotations
 
 import contextlib
-import threading
+from threading import get_ident
 
 import numpy as np
 
-
-class _GradMode(threading.local):
-    enabled = True
-
-
-_mode = _GradMode()
+# the threads inside ``no_grad``, by ident: while it is empty, as in training,
+# an op reads the mode as one global, and otherwise it also reads its thread's ident
+_no_grad_threads = set()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Build no graph inside the block in this thread; nests, and restores the
     mode on exit."""
-    saved = _mode.enabled
-    _mode.enabled = False
+    ident = get_ident()
+    if ident in _no_grad_threads:
+        yield
+        return
+    _no_grad_threads.add(ident)
     try:
         yield
     finally:
-        _mode.enabled = saved
+        _no_grad_threads.discard(ident)
 
 
 def grad_enabled():
-    return _mode.enabled
+    return get_ident() not in _no_grad_threads
 
 
 class ShapeError(ValueError):
@@ -52,7 +52,8 @@ class Tensor:
     def __init__(self, data, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         # the one read of the grad mode per op: its rule is kept only with parents
-        self._parents = _parents if _parents and _mode.enabled else ()
+        self._parents = (() if _no_grad_threads and get_ident() in _no_grad_threads
+                         else _parents)
         self._backward = None
 
     @property
