@@ -1075,9 +1075,10 @@ class TestMalformedCheckpoint:
 
 class TestCheckpointAgainstConfig:
     """eval and explain read the fields the checkpoint embeds as it embeds
-    them, over its T, so a config that lists them otherwise gives the same
-    output as the training config; from the config they take its ratio, its
-    seed and the fields the model dropped. The ids of
+    them, over its T, and split with its seed, so a config that lists them
+    otherwise or sets another seed gives the same output as the training
+    config; from the config they take its ratio and the fields the model
+    dropped. The ids of
     test_a_mismatch_exits_one_naming_it are kept as lists of passing tests
     name them; it checks that a mismatch gives the training config's output."""
 
