@@ -105,13 +105,12 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_split(data_path, schema_config, cfg, seed=None):
-    """``data_path`` read through ``schema_config``, split by the config's ratio and
-    by ``seed``, the config's training seed unless given."""
+def _load_split(data_path, schema_config, ratio, seed):
+    """``data_path`` read through ``schema_config``, split by ``ratio`` and ``seed``."""
     samples = load_csv(data_path, schema_config)
     if len(samples) < 2:
         raise DataError(f"{data_path}: need at least 2 usable entities, got {len(samples)}")
-    return split(samples, cfg.ratio, cfg.train.seed if seed is None else seed)
+    return split(samples, ratio, seed)
 
 
 def _load_model(path, cfg):
@@ -158,7 +157,7 @@ def cmd_ingest(args, cfg):
 
 def cmd_train(args, cfg):
     schema_config = cfg.schema_config()
-    ds = _load_split(args.data, schema_config, cfg)
+    ds = _load_split(args.data, schema_config, cfg.ratio, cfg.train.seed)
     schema = build_schema(ds.train, schema_config)
     with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
         model, trace = train(ds.train, schema, cfg.train, log_every=1)
@@ -176,7 +175,7 @@ def cmd_train(args, cfg):
 
 def cmd_eval(args, cfg):
     model, schema_config = _load_model(args.model, cfg)
-    ds = _load_split(args.data, schema_config, cfg, model.config.seed)
+    ds = _load_split(args.data, schema_config, cfg.ratio, model.config.seed)
     report = evaluate(model, ds.train + ds.test if args.all else ds.test)
     print(report.as_table())
     print("tp,fp,fn,tn,acc,err1,err2,auc")
@@ -191,15 +190,15 @@ def cmd_explain(args, cfg):
     out_dir = Path(args.out)
 
     if args.static:
-        test = _load_split(args.data, schema_config, cfg, model.config.seed).test
+        test = _load_split(args.data, schema_config, cfg.ratio, model.config.seed).test
         r1 = explain.rank1_attention_weights(model, test)
         patterns = explain.backtrack_patterns(model.blocks, model.schema, eps,
                                               rank1_weights=r1)
         explain.emit_reports(patterns, {}, out_dir)
         ranks = {p.rank for p in patterns}
-        for rank in range(2, len(model.blocks) + 2):
-            if rank not in ranks:
-                print(f"rank {rank}: no pattern survives epsilon = {eps:g}")
+        for block in model.blocks:
+            if block.rank not in ranks:
+                print(f"rank {block.rank}: no pattern survives epsilon = {eps:g}")
         print(f"wrote {out_dir / 'patterns.csv'}")
         return 0
 
@@ -221,7 +220,7 @@ def cmd_baseline(args, cfg):
     if cfg.train.k > 2:
         raise ConfigError(f"the baselines rate two classes, but the config sets k = {cfg.train.k}")
     schema_config = cfg.schema_config()
-    ds = _load_split(args.data, schema_config, cfg)
+    ds = _load_split(args.data, schema_config, cfg.ratio, cfg.train.seed)
     _check_labels(ds.train + ds.test, cfg.train.k)
     if args.which == "zscore":
         if len(cfg.zscore_fields) != 5:
@@ -307,7 +306,7 @@ def cmd_sweep(args, cfg):
     rows = []
     for v, run in zip(values, runs):
         schema_config = run.schema_config()
-        ds = _load_split(args.data, schema_config, run)
+        ds = _load_split(args.data, schema_config, run.ratio, run.train.seed)
         schema = build_schema(ds.train, schema_config)
         with np.errstate(all="ignore"):     # a non-finite loss raises TrainingDiverged
             model, _ = train(ds.train, schema, run.train)

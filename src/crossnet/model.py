@@ -32,8 +32,6 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"DCRS1"
 SCORE_BYTES = 1 << 20   # bytes of the [B, T, N, d] stack per forward pass when scoring
-# the variables a BLAS reads its thread count from, the first one set deciding
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class TrainingDiverged(RuntimeError):
@@ -235,10 +233,10 @@ class Model:
         """Score raw samples forward-only, ``score_batch`` at a time.
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
-        batch, in order. With two or more batches, more than one CPU and a
-        BLAS on one thread (``two_scoring_threads``), the calling thread scores
-        the even batches and one helper thread the odd ones, each odd batch
-        started with the even one before it, so at most two are in flight.
+        batch, in order. With two or more batches and more than one CPU to
+        run on (``usable_cpus``), the calling thread scores the even batches
+        and one helper thread the odd ones, each odd batch started with the
+        even one before it, so at most two are in flight.
         ``no_grad`` ends before each yield, so it is never held while the
         caller runs, and the helper is stopped before ``score`` returns or
         raises. Finite parameters can still overflow in the forward pass: a
@@ -264,7 +262,7 @@ class Model:
 
         # leaving the block waits for the helper; when an earlier batch's error or
         # the caller's close ends the scoring, the odd batch's result is dropped
-        helper = ThreadPoolExecutor(1) if len(starts) > 1 and two_scoring_threads() else None
+        helper = ThreadPoolExecutor(1) if len(starts) > 1 and usable_cpus() > 1 else None
         with helper or contextlib.nullcontext():
             for start in starts[::2]:
                 odd = start + size
@@ -274,12 +272,12 @@ class Model:
                     yield checked(odd, ahead.result() if ahead else scored(odd))
 
 
-def two_scoring_threads():
-    """Whether ``Model.score`` takes a helper thread: more than one CPU, and a BLAS
-    started on one thread. A BLAS on several threads keeps its idle workers
-    spinning, and two scoring threads then contend with them for the CPUs."""
-    threads = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), "")
-    return (os.cpu_count() or 1) > 1 and threads.strip() == "1"
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    keeps one, so a process pinned to one CPU counts one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def objective(batch, model, config):

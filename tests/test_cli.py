@@ -470,7 +470,7 @@ class TestExplainCommand:
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(explain, "rank1_attention_weights", no_split_pass)
         cfg = parse_config(config_path)
-        ds = cli._load_split(data_path, cfg.schema_config(), cfg)
+        ds = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed)
         entity = ds.train[0].entity_id
         rc = main(["explain", "--data", str(data_path), "--model", str(trained),
                    "--config", str(config_path), "--out", str(tmp_path / "expl"),
@@ -639,8 +639,8 @@ class TestBadDataFile:
     @pytest.fixture
     def argv(self, tmp_path, config_path, data_path):
         cfg = parse_config(config_path)
-        schema = build_schema(cli._load_split(data_path, cfg.schema_config(), cfg).train,
-                              cfg.schema_config())
+        ds = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed)
+        schema = build_schema(ds.train, cfg.schema_config())
         ckpt = tmp_path / "m.ckpt"
         model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
         commands = {
@@ -670,7 +670,9 @@ class TestBadDataFile:
 
 
 class TestScoringHoldsOneBatch:
-    """eval and explain encode each batch when they take it."""
+    """eval and explain encode each batch when they take it. With the scoring
+    helper on, the caller scores the even batches and the helper the odd ones,
+    so no more than two batches are in flight."""
 
     @pytest.fixture
     def portfolio(self, tmp_path, config_path, monkeypatch):
@@ -681,7 +683,7 @@ class TestScoringHoldsOneBatch:
         data = tmp_path / "big.csv"
         write_csv(samples, data, synthetic_schema_config(1, 2))
         cfg = parse_config(config_path)
-        ds = cli._load_split(data, cfg.schema_config(), cfg)
+        ds = cli._load_split(data, cfg.schema_config(), cfg.ratio, cfg.train.seed)
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(ds.train, cfg.schema_config())
         m = model.Model(schema, cfg.train)
@@ -691,50 +693,62 @@ class TestScoringHoldsOneBatch:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """("encode", n, thread) for each batch of n samples encoded, and
-        ("forward", n, thread) for each forward pass on n samples."""
+        """("encode", first, n, thread) for each batch of n samples encoded, and
+        ("forward", first, n, thread) for each forward pass on n samples, where
+        first is the batch's first entity id; the helper is on whatever the
+        machine's CPU count."""
         log = []
 
         def counting_encode(samples, schema):
-            log.append(("encode", len(samples), threading.get_ident()))
+            log.append(("encode", samples[0].entity_id, len(samples), threading.get_ident()))
             return encode(samples, schema)
 
         forward = model.Model.forward
 
         def logging_forward(self, batch):
-            log.append(("forward", len(batch), threading.get_ident()))
+            log.append(("forward", batch[0].entity_id, len(batch), threading.get_ident()))
             return forward(self, batch)
 
+        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
         return log
 
-    def assert_one_batch_at_a_time(self, log, n_samples):
+    def assert_one_batch_at_a_time(self, log, samples):
         # in each scoring thread, each forward pass encodes its own batch, and
         # nothing else is encoded
-        sizes = []
-        for thread in {t for _, _, t in log}:
-            events = [(event, n) for event, n, t in log if t == thread]
-            sizes += [n for _, n in events[::2]]
-            assert events == [(event, n) for _, n in events[::2] for event in ("forward", "encode")]
-        assert max(sizes) <= 256 and sum(sizes) == n_samples and len(sizes) > 1
+        threads = {t for *_, t in log}
+        assert len(threads) == 2
+        for thread in threads:
+            events = [e[:3] for e in log if e[3] == thread]
+            assert events == [(event, first, n) for _, first, n in events[::2]
+                              for event in ("forward", "encode")]
+        # one forward pass a batch: the caller takes the even batches and the
+        # helper the odd ones
+        caller = threading.get_ident()
+        helper, = threads - {caller}
+        forwards = {first: (n, t) for event, first, n, t in log if event == "forward"}
+        starts = range(0, len(samples), 256)
+        assert len(forwards) == len(log) // 2 == len(starts) > 1
+        assert [forwards[samples[s].entity_id] for s in starts] == [
+            (len(samples[s:s + 256]), helper if i % 2 else caller) for i, s in enumerate(starts)]
 
     def test_eval(self, config_path, portfolio, events, capsys):
         data, ckpt, ds = portfolio
         assert main(["eval", "--data", str(data), "--model", str(ckpt),
                      "--config", str(config_path), "--all"]) == 0
-        self.assert_one_batch_at_a_time(events, len(ds.train) + len(ds.test))
+        self.assert_one_batch_at_a_time(events, ds.train + ds.test)
 
     def test_explain_static(self, tmp_path, portfolio, events):
         data, ckpt, _ = portfolio
         cfg = tmp_path / "wide_test.cfg"
         cfg.write_text(SMALL_CONFIG.replace("ratio = 0.75", "ratio = 0.25"))
         parsed = parse_config(cfg)
-        ds = cli._load_split(data, parsed.schema_config(), parsed)
+        ds = cli._load_split(data, parsed.schema_config(), parsed.ratio, parsed.train.seed)
         assert main(["explain", "--data", str(data), "--model", str(ckpt),
                      "--config", str(cfg), "--out", str(tmp_path / "expl"),
                      "--static"]) == 0
-        self.assert_one_batch_at_a_time(events, len(ds.test))
+        self.assert_one_batch_at_a_time(events, ds.test)
 
     def test_eval_report_matches_a_normalized_list(self, portfolio):
         _, ckpt, ds = portfolio
@@ -996,7 +1010,7 @@ class TestNonFiniteScores:
         if argv[0] != "sweep":
             # train refuses to save this model, so it is trained and saved here
             parsed = parse_config(cfg)
-            ds = cli._load_split(data, parsed.schema_config(), parsed)
+            ds = cli._load_split(data, parsed.schema_config(), parsed.ratio, parsed.train.seed)
             with np.errstate(all="ignore"):
                 trained, _ = model.train(ds.train, build_schema(ds.train, parsed.schema_config()),
                                          parsed.train)
@@ -1021,8 +1035,8 @@ class TestNonFiniteCheckpoint:
     def test_eval_exits_one_before_reading_data(self, tmp_path, config_path, data_path,
                                                 capsys, name, index, value):
         cfg = parse_config(config_path)
-        schema = build_schema(cli._load_split(data_path, cfg.schema_config(), cfg).train,
-                              cfg.schema_config())
+        ds = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed)
+        schema = build_schema(ds.train, cfg.schema_config())
         m = model.Model(schema, cfg.train)
         m.named_params()[name].data[index] = value
         ckpt = tmp_path / "m.ckpt"
@@ -1038,7 +1052,7 @@ class TestNonFiniteCheckpoint:
 class TestMalformedCheckpoint:
     def test_eval_exits_one_with_a_message(self, tmp_path, config_path, data_path, capsys):
         cfg = parse_config(config_path)
-        samples = cli._load_split(data_path, cfg.schema_config(), cfg).train
+        samples = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed).train
         ckpt = tmp_path / "m.ckpt"
         schema = build_schema(samples, cfg.schema_config())
         model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
@@ -1058,7 +1072,7 @@ class TestMalformedCheckpoint:
     def test_a_repeated_or_reserved_field_name_is_malformed(self, tmp_path, config_path,
                                                             data_path, capsys, name):
         cfg = parse_config(config_path)
-        samples = cli._load_split(data_path, cfg.schema_config(), cfg).train
+        samples = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed).train
         schema = [dataclasses.replace(f, name=name if f.name == "noise0" else f.name)
                   for f in build_schema(samples, cfg.schema_config())]
         ckpt = tmp_path / "m.ckpt"
@@ -1173,10 +1187,10 @@ class TestCheckpointAgainstConfig:
                      "--out", str(ckpt)]) == 0
         assert [f.name for f in model.load_checkpoint(ckpt).schema] == fields[:3]
         cfg = cli.parse_config(cfg_path)
-        trained = cli._load_split(data, cfg.schema_config(), cfg)
+        trained = cli._load_split(data, cfg.schema_config(), cfg.ratio, cfg.train.seed)
         assert len(trained.train) + len(trained.test) == len(samples) - 1
         _, schema_config = cli._load_model(ckpt, cfg)
-        evaluated = cli._load_split(data, schema_config, cfg)
+        evaluated = cli._load_split(data, schema_config, cfg.ratio, cfg.train.seed)
         for part in ("train", "test"):
             assert ([s.entity_id for s in getattr(evaluated, part)]
                     == [s.entity_id for s in getattr(trained, part)])

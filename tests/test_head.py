@@ -14,10 +14,10 @@ from crossnet import model as model_module
 from crossnet.autodiff import Tensor
 from crossnet.crossing import lasso_penalty
 from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_schema_config
-from crossnet.model import (BLAS_THREAD_VARS, SCORE_BYTES, GruParams, Model, OutputParams,
+from crossnet.model import (SCORE_BYTES, GruParams, Model, OutputParams,
                             TrainConfig, auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
-                            save_checkpoint, time_concat, train, two_scoring_threads)
+                            save_checkpoint, time_concat, train, usable_cpus)
 
 from test_data import SPECIAL_CELLS, encoding_cases, gather_ref, normalize_ref
 
@@ -263,7 +263,7 @@ class TestTwoScoringThreads:
     def scoring(self, monkeypatch):
         """A model scoring SIZE samples a batch with its helper, and the thread
         that ran each forward pass, by the entity id of its first sample."""
-        monkeypatch.setattr(model_module, "two_scoring_threads", lambda: True)
+        monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
         probe = gen_synthetic_interaction(8, 2, 1, seed=0)
         m = Model(build_schema(probe, synthetic_schema_config(1, 2)), small_config())
         # T=2, N=6, d=4: 384 bytes of the stack a sample
@@ -340,21 +340,15 @@ class TestTwoScoringThreads:
         assert threading.active_count() == before
         assert len(set(threads.values())) == 2
 
-    def test_the_helper_needs_two_cpus_and_a_blas_on_one_thread(self, monkeypatch):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 2)
-        assert not two_scoring_threads()
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert two_scoring_threads()
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert not two_scoring_threads()
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 1)
-        assert not two_scoring_threads()
+    def test_usable_cpus_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(model_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cpus() == 1
+        monkeypatch.delattr(model_module.os, "sched_getaffinity")
+        assert usable_cpus() == 8
 
     def test_without_the_helper_no_thread_is_started(self, monkeypatch):
-        monkeypatch.setattr(model_module, "two_scoring_threads", lambda: False)
+        monkeypatch.setattr(model_module, "usable_cpus", lambda: 1)
         monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
         samples, schema = make_dataset(n=3 * self.SIZE)
         m = Model(schema, small_config())
