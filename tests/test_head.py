@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -346,6 +349,19 @@ class TestTwoScoringThreads:
         assert usable_cpus() == 1
         monkeypatch.delattr(model_module.os, "sched_getaffinity")
         assert usable_cpus() == 8
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_importing_crossnet_sets_an_unset_blas_thread_count_to_one(self, preset):
+        # a fresh interpreter, so that crossnet loads before NumPy
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = str(Path(model_module.__file__).parents[1])
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = f"import os, crossnet; print(*(os.environ.get(v) for v in {blas!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out == [preset or "1", "1", "1"]
 
     def test_without_the_helper_no_thread_is_started(self, monkeypatch):
         monkeypatch.setattr(model_module, "usable_cpus", lambda: 1)
