@@ -4,8 +4,8 @@ import os
 
 # Each BLAS thread-count variable left unset is set to 1. This runs before NumPy
 # loads whenever the package is imported first, as by the ``crossnet`` command.
-# ``Model.score`` scores on two threads, and a BLAS on several threads keeps
-# idle workers spinning on the same CPUs, which made scoring slower.
+# ``Model.score`` scores in two processes wherever it may use two CPUs, and two
+# scoring processes, each with a multi-thread BLAS, would oversubscribe two CPUs.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

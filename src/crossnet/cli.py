@@ -65,12 +65,15 @@ class RunConfig:
 _ALIASES = {"lambda": "lam", "K": "top_k"}
 
 
-def parse_config(path):
+def parse_config(path, training=True):
     """Parse the flat key=value config file, rejecting unknown, repeated or bad keys.
 
     The keys are RunConfig's and TrainConfig's fields; each value takes the
     type of its field's default, with lists and tuples comma-separated. A
-    byte that is not UTF-8 is a DataError naming its line.
+    byte that is not UTF-8 is a DataError naming its line. With ``training``
+    false the TrainConfig values are parsed but not checked, and ``train``
+    is left at its defaults: for commands that read every training value
+    from a checkpoint.
     """
     defaults = asdict(RunConfig())
     train_defaults = defaults.pop("train")
@@ -100,7 +103,7 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     train = {k: kwargs.pop(k) for k in list(kwargs) if k in train_defaults}
     try:
-        return RunConfig(train=TrainConfig(**train), **kwargs)
+        return RunConfig(train=TrainConfig(**train) if training else TrainConfig(), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -381,7 +384,7 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, training=args.fn not in (cmd_eval, cmd_explain))
     except (ConfigError, DataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

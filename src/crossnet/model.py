@@ -8,14 +8,17 @@ crossing-block selection matrices, with plain minibatch SGD.
 
 from __future__ import annotations
 
-import contextlib
+import gc
 import json
 import logging
 import math
 import operator
 import os
+import pickle
+import signal
+import socket
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -233,15 +236,18 @@ class Model:
         """Score raw samples forward-only, ``score_batch`` at a time.
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
-        batch, in order. With two or more batches and more than one CPU to
-        run on (``usable_cpus``), the calling thread scores the even batches
-        and one helper thread the odd ones, each odd batch started with the
-        even one before it, so at most two are in flight.
-        ``no_grad`` ends before each yield, so it is never held while the
-        caller runs, and the helper is stopped before ``score`` returns or
-        raises. Finite parameters can still overflow in the forward pass: a
-        ValueError names the first entity, in sample order, with a non-finite
-        value in any of the four arrays.
+        batch, in order. With two or more batches, more than one CPU to run
+        on (``usable_cpus``) and ``os.fork`` on Linux, the caller scores the
+        even batches and one forked child process the odd ones
+        (``ScoringChild``), each odd batch started with the even one before
+        it, so at most two are in flight. Every batch is checked in the
+        caller, and an exception raised in the child is raised here at its
+        batch. ``no_grad`` ends before each yield, so it is never held while
+        the caller runs, and the child is killed if still running and reaped
+        before ``score`` returns, raises or is closed. Finite parameters can
+        still overflow in the forward pass: a ValueError names the first
+        entity, in sample order, with a non-finite value in any of the four
+        arrays.
         """
         size = self.score_batch
         starts = range(0, len(samples), size)
@@ -260,16 +266,103 @@ class Model:
                                  f"forward pass overflows")
             return fwd
 
-        # leaving the block waits for the helper; when an earlier batch's error or
-        # the caller's close ends the scoring, the odd batch's result is dropped
-        helper = ThreadPoolExecutor(1) if len(starts) > 1 and usable_cpus() > 1 else None
-        with helper or contextlib.nullcontext():
+        forking = sys.platform == "linux" and hasattr(os, "fork")
+        child = (ScoringChild(scored, starts[1::2])
+                 if len(starts) > 1 and forking and usable_cpus() > 1 else None)
+        try:
             for start in starts[::2]:
                 odd = start + size
-                ahead = helper.submit(scored, odd) if helper and odd < len(samples) else None
+                if child and odd < len(samples):
+                    child.start_next()
                 yield checked(start, scored(start))
                 if odd < len(samples):
-                    yield checked(odd, ahead.result() if ahead else scored(odd))
+                    yield checked(odd, child.result() if child else scored(odd))
+        finally:
+            if child:
+                child.stop()
+
+
+class ScoringChild:
+    """A forked process that runs ``score(start)`` for each of ``starts`` in
+    turn, one for each ``start_next`` call, and sends back what it returns or
+    raises, over one socket pair (a two-way pipe)."""
+
+    def __init__(self, score, starts):
+        ours, theirs = socket.socketpair()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                ours.close()
+                # the child's collections then skip the heap it inherits, so
+                # they neither walk it nor write to (and copy) its pages
+                gc.freeze()
+                for start in starts:
+                    if not theirs.recv(1):
+                        break
+                    body = _outcome(score, start)
+                    theirs.sendall(struct.pack("<Q", len(body)) + body)
+                code = 0
+            finally:
+                os._exit(code)
+        theirs.close()
+        self.sock = ours
+        self.reader = ours.makefile("rb")
+
+    def start_next(self):
+        try:
+            self.sock.sendall(b"\x01")
+        except BrokenPipeError:     # the child has ended; ``result`` says how
+            pass
+
+    def result(self):
+        """What the child's next ``score`` call returned; raises what it raised.
+
+        ChildProcessError when the child ended with no result, or when what
+        it raised could not be sent back.
+        """
+        try:
+            head = self.reader.read(8)
+            size = struct.unpack("<Q", head)[0] if len(head) == 8 else -1
+            body = self.reader.read(size) if size >= 0 else b""
+        except ConnectionResetError:    # it ended with a ``start_next`` byte unread
+            size, body = -1, b""
+        if len(body) != size:
+            raise ChildProcessError(f"the scoring child process ended with no result "
+                                    f"({self.stop()})")
+        try:
+            kind, value = pickle.loads(body)
+        except Exception as exc:
+            raise ChildProcessError(f"the scoring child process's result could not be "
+                                    f"read: {type(exc).__name__}: {exc}") from None
+        if kind == "raised":
+            raise value
+        if kind == "unsent":
+            raise ChildProcessError(f"the scoring child process raised {value}")
+        return value
+
+    def stop(self):
+        """Kill the child if it still runs and reap it; how it ended, in words."""
+        self.reader.close()
+        self.sock.close()
+        if self.pid is None:
+            return None
+        os.kill(self.pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+
+
+def _outcome(score, start):
+    """``score(start)``'s result or exception, pickled with how it ended."""
+    try:
+        return pickle.dumps(("returned", score(start)), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        try:
+            return pickle.dumps(("raised", exc), pickle.HIGHEST_PROTOCOL)
+        except Exception as unsent:
+            return pickle.dumps(("unsent", f"{type(exc).__name__}: {exc}, which could not "
+                                           f"be sent back: {unsent}"))
 
 
 def usable_cpus():

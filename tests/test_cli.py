@@ -3,11 +3,12 @@ import csv
 import dataclasses
 import logging
 import math
+import os
 import re
 import shutil
+import signal
 import struct
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -178,6 +179,18 @@ class TestParseConfig:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "m.ckpt"], ["sweep", "--axis", "rank", "--values", "1"],
+        ["baseline", "--which", "lr"], ["gradcheck"],
+    ], ids=["train", "sweep", "baseline", "gradcheck"])
+    def test_a_command_that_trains_checks_every_training_value(self, tmp_path, data_path,
+                                                                capsys, argv):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_line("s = 3"))
+        data = ["--data", str(data_path)] if argv[0] != "gradcheck" else []
+        assert main(argv[:1] + data + ["--config", str(p)] + argv[1:]) == 2
+        assert capsys.readouterr().err == f"config error: {p}: s must be at most T=2, got 3\n"
 
     def test_multi_valued_field_must_be_categorical(self, tmp_path, data_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -671,8 +684,8 @@ class TestBadDataFile:
 
 class TestScoringHoldsOneBatch:
     """eval and explain encode each batch when they take it. With the scoring
-    helper on, the caller scores the even batches and the helper the odd ones,
-    so no more than two batches are in flight."""
+    helper on, the caller scores the even batches and a forked child process
+    the odd ones, each process one batch at a time."""
 
     @pytest.fixture
     def portfolio(self, tmp_path, config_path, monkeypatch):
@@ -692,46 +705,45 @@ class TestScoringHoldsOneBatch:
         return data, ckpt, ds
 
     @pytest.fixture
-    def events(self, monkeypatch):
-        """("encode", first, n, thread) for each batch of n samples encoded, and
-        ("forward", first, n, thread) for each forward pass on n samples, where
-        first is the batch's first entity id; the helper is on whatever the
-        machine's CPU count."""
-        log = []
-
+    def events(self, monkeypatch, process_log):
+        """A log with an ("encode", first, n, pid) event for each batch of n
+        samples encoded, and a ("forward", first, n, pid) event for each forward
+        pass on n samples, where first is the batch's first entity id; the
+        helper is on whatever the machine's CPU count."""
         def counting_encode(samples, schema):
-            log.append(("encode", samples[0].entity_id, len(samples), threading.get_ident()))
+            process_log.append("encode", samples[0].entity_id, len(samples))
             return encode(samples, schema)
 
         forward = model.Model.forward
 
         def logging_forward(self, batch):
-            log.append(("forward", batch[0].entity_id, len(batch), threading.get_ident()))
+            process_log.append("forward", batch[0].entity_id, len(batch))
             return forward(self, batch)
 
         monkeypatch.setattr(model, "usable_cpus", lambda: 2)
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
-        return log
+        return process_log
 
     def assert_one_batch_at_a_time(self, log, samples):
-        # in each scoring thread, each forward pass encodes its own batch, and
+        # in each scoring process, each forward pass encodes its own batch, and
         # nothing else is encoded
-        threads = {t for *_, t in log}
-        assert len(threads) == 2
-        for thread in threads:
-            events = [e[:3] for e in log if e[3] == thread]
+        log = [(event, first, int(n), pid) for event, first, n, pid in log.events()]
+        pids = {pid for *_, pid in log}
+        assert len(pids) == 2
+        for pid in pids:
+            events = [e[:3] for e in log if e[3] == pid]
             assert events == [(event, first, n) for _, first, n in events[::2]
                               for event in ("forward", "encode")]
         # one forward pass a batch: the caller takes the even batches and the
-        # helper the odd ones
-        caller = threading.get_ident()
-        helper, = threads - {caller}
-        forwards = {first: (n, t) for event, first, n, t in log if event == "forward"}
+        # child the odd ones
+        caller = os.getpid()
+        child, = pids - {caller}
+        forwards = {first: (n, pid) for event, first, n, pid in log if event == "forward"}
         starts = range(0, len(samples), 256)
         assert len(forwards) == len(log) // 2 == len(starts) > 1
         assert [forwards[samples[s].entity_id] for s in starts] == [
-            (len(samples[s:s + 256]), helper if i % 2 else caller) for i, s in enumerate(starts)]
+            (len(samples[s:s + 256]), child if i % 2 else caller) for i, s in enumerate(starts)]
 
     def test_eval(self, config_path, portfolio, events, capsys):
         data, ckpt, ds = portfolio
@@ -749,6 +761,25 @@ class TestScoringHoldsOneBatch:
                      "--config", str(cfg), "--out", str(tmp_path / "expl"),
                      "--static"]) == 0
         self.assert_one_batch_at_a_time(events, ds.test)
+
+    def test_a_killed_helper_exits_1_with_one_line(self, config_path, portfolio, monkeypatch,
+                                                   capsys):
+        data, ckpt, _ = portfolio
+        parent, forward = os.getpid(), model.Model.forward
+
+        def dying_in_the_child(self, batch):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return forward(self, batch)
+
+        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(model.Model, "forward", dying_in_the_child)
+        assert main(["eval", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(config_path), "--all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the scoring child process ended with no result "
+                                "(killed by signal 9)\n")
 
     def test_eval_report_matches_a_normalized_list(self, portfolio):
         _, ckpt, ds = portfolio
@@ -1134,7 +1165,7 @@ class TestCheckpointAgainstConfig:
         out_dir = tmp_path / "expl"
         capsys.readouterr()
         rc = main(argv[:1] + ["--data", str(data), "--model", str(ckpt), "--config", str(cfg)]
-                  + (["--out", str(out_dir)] + argv[1:] if argv[1:] else []))
+                  + (["--out", str(out_dir)] if argv[0] == "explain" else []) + argv[1:])
         files = {}
         if out_dir.exists():
             files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
@@ -1152,6 +1183,38 @@ class TestCheckpointAgainstConfig:
         assert matching[0] == 0 and matching[1].out
         assert self.run(tmp_path, argv, data, ckpt, config.replace(old, new),
                         capsys) == matching
+
+    READERS = {"all": ["eval", "--all"], "static": ["explain", "--static"],
+               "entity": ["explain", "--entity", "s00000"]}
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_a_training_value_it_never_reads_is_not_checked(self, tmp_path, setup, capsys,
+                                                             command):
+        data, ckpt, config = setup
+        argv = self.READERS[command]
+        matching = self.run(tmp_path, argv, data, ckpt, config, capsys)
+        assert matching[0] == 0 and matching[1].out
+        # s = 3 is more than T = 2, which train refuses
+        assert "s = 1\nh" in config
+        unchecked = config.replace("s = 1\n", "s = 3\n")
+        assert self.run(tmp_path, argv, data, ckpt, unchecked, capsys) == matching
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("s = 1", "just a line", ":9: expected 'key = value', got 'just a line'"),
+        ("s = 1", "bogus = 1", ":9: unknown config key 'bogus'"),
+        ("s = 1", "s = three", ":9: bad value for 's'"),
+        ("ratio = 0.75", "ratio = 1.5", ": ratio must be in (0,1), got 1.5"),
+    ], ids=["malformed", "unknown", "unparsed", "ratio"])
+    @pytest.mark.parametrize("command", READERS)
+    def test_a_config_it_cannot_read_still_exits_2(self, tmp_path, setup, capsys, command,
+                                                  old, new, message):
+        data, ckpt, config = setup
+        assert f"\n{old}\n" in config
+        rc, captured, files = self.run(tmp_path, self.READERS[command], data, ckpt,
+                                       config.replace(f"\n{old}\n", f"\n{new}\n"), capsys)
+        assert (rc, captured.out, files) == (2, "", {})
+        assert captured.err.startswith(f"config error: {tmp_path / 'run.cfg'}{message}")
+        assert captured.err.count("\n") == 1
 
     def test_eval_splits_with_the_checkpoints_seed(self, tmp_path, data_path, config_path,
                                                    capsys):

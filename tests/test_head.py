@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -255,51 +257,93 @@ class TestScore:
             evaluate(model, samples)
 
 
+class Unsendable(Exception):
+    """An exception that cannot be pickled: it holds a lambda."""
+
+    def __init__(self, msg):
+        super().__init__(msg)
+        self.callback = lambda: None
+
+
+class Unreadable(Exception):
+    """An exception that pickles but cannot be unpickled: its constructor
+    takes two arguments and its args hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestTwoScoringThreads:
-    """Model.score with its helper thread: the caller scores the even batches and
-    the helper the odd ones, each yielded in order, checked, and the helper
-    stopped however the scoring ends."""
+    """Model.score with its helper, a forked child process that replaced the
+    helper thread this class is named for: the caller scores the even batches
+    and the child the odd ones, each yielded in order and checked in the
+    caller, and the child is killed if still running and reaped however the
+    scoring ends. The autouse ``no_child_process_left`` fixture checks the
+    reaping again after every test."""
 
     SIZE = 16
 
     @pytest.fixture
-    def scoring(self, monkeypatch):
-        """A model scoring SIZE samples a batch with its helper, and the thread
-        that ran each forward pass, by the entity id of its first sample."""
+    def scoring(self, monkeypatch, process_log):
+        """A model scoring SIZE samples a batch with its helper, and a log with a
+        ("forward", first entity id, pid) event for each forward pass."""
         monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
         probe = gen_synthetic_interaction(8, 2, 1, seed=0)
         m = Model(build_schema(probe, synthetic_schema_config(1, 2)), small_config())
         # T=2, N=6, d=4: 384 bytes of the stack a sample
         monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
         assert m.score_batch == self.SIZE
-        threads = {}
         forward = Model.forward
 
         def logging_forward(self, batch):
-            threads[batch[0].entity_id] = threading.get_ident()
+            process_log.append("forward", batch[0].entity_id)
             return forward(self, batch)
 
         monkeypatch.setattr(Model, "forward", logging_forward)
-        return m, threads
+        return m, process_log
+
+    def in_the_helper(self, monkeypatch, action):
+        """Make each forward pass in a process other than this one call ``action``
+        first."""
+        parent, forward = os.getpid(), Model.forward
+
+        def forward_in_either(self, batch):
+            if os.getpid() != parent:
+                action()
+            return forward(self, batch)
+
+        monkeypatch.setattr(Model, "forward", forward_in_either)
 
     @pytest.mark.parametrize("n", [1, SIZE, SIZE + 1, 3 * SIZE + 1])
-    def test_batches_match_one_forward_each_in_order(self, scoring, n):
-        m, threads = scoring
+    def test_batches_match_one_forward_each_in_order(self, scoring, n, no_child_process_left):
+        m, log = scoring
         samples = gen_synthetic_interaction(n, 2, 1, seed=1)
-        before = threading.active_count()
-        got = list(m.score(samples))
-        assert threading.active_count() == before
+        got = []
+        for out in m.score(samples):
+            got.append(out)
+            log.append("taken", len(got))
+        no_child_process_left()
+        events = log.events()
         starts = range(0, n, self.SIZE)
         assert [len(out["y"]) for out in got] == [len(samples[s:s + self.SIZE]) for s in starts]
-        caller = threading.get_ident()
-        assert [threads[samples[s].entity_id] == caller for s in starts] == [
-            i % 2 == 0 for i in range(len(starts))]
+        # one forward pass a batch: the even ones in this process, the odd ones in one other
+        forwards = {first: pid for event, first, pid in events if event == "forward"}
+        assert len(forwards) == len(starts)
+        pids = [forwards[samples[s].entity_id] for s in starts]
+        assert [pid == os.getpid() for pid in pids] == [i % 2 == 0 for i in range(len(starts))]
+        assert len(set(pids)) == min(len(starts), 2)
+        # at most two batches in flight: begun, and not yet taken by the consumer
+        in_flight = 0
+        for event, *_ in events:
+            in_flight += 1 if event == "forward" else -1
+            assert 0 <= in_flight <= 2
         for out, start in zip(got, starts):
             want = m.forward(samples[start:start + self.SIZE])
             for k in ("y", "r", "p", "q"):
                 assert out[k].tobytes() == want[k].data.tobytes()
 
-    def test_the_first_non_finite_entity_in_an_odd_batch_is_named(self, scoring, monkeypatch):
+    def test_the_first_non_finite_entity_in_an_odd_batch_is_named(self, scoring, monkeypatch,
+                                                                   no_child_process_left):
         m, _ = scoring
         samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
         bad = {samples[self.SIZE + 3].entity_id, samples[2 * self.SIZE].entity_id}
@@ -313,35 +357,128 @@ class TestTwoScoringThreads:
             return fwd
 
         monkeypatch.setattr(Model, "forward", overflowing)
-        before = threading.active_count()
         with pytest.raises(ValueError, match=f"entity '{samples[self.SIZE + 3].entity_id}' "
                                              f"scores non-finite"):
             evaluate(m, samples)
-        assert threading.active_count() == before
+        no_child_process_left()
 
-    def test_an_exception_in_the_helper_reaches_the_caller_at_its_batch(self, scoring):
-        m, _ = scoring
+    def test_an_exception_in_the_helper_reaches_the_caller_at_its_batch(
+            self, scoring, no_child_process_left):
+        m, log = scoring
         samples = gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)
         samples[self.SIZE + 1].steps.pop()
-        before = threading.active_count()
         got = []
-        with pytest.raises(ValueError, match="every sample in a batch needs 2 steps"):
+        with pytest.raises(ValueError, match="^every sample in a batch needs 2 steps"):
             for out in m.score(samples):
                 got.append(out)
         assert len(got) == 1
-        assert threading.active_count() == before
+        no_child_process_left()
+        first = samples[self.SIZE].entity_id
+        assert [pid for event, e, pid in log.events() if e == first] != [os.getpid()]
 
-    def test_evaluate_and_a_break_leave_no_helper(self, scoring):
-        m, threads = scoring
+    def test_an_exception_in_the_caller_stops_the_helper(self, scoring, no_child_process_left):
+        m, _ = scoring
         samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
-        before = threading.active_count()
+        samples[2 * self.SIZE + 1].steps.pop()
+        got = []
+        with pytest.raises(ValueError, match="^every sample in a batch needs 2 steps"):
+            for out in m.score(samples):
+                got.append(out)
+        assert len(got) == 2
+        no_child_process_left()
+
+    def test_a_helper_killed_mid_run_raises_child_process_error(self, scoring, monkeypatch,
+                                                                no_child_process_left):
+        m, _ = scoring
+        self.in_the_helper(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        got = []
+        with pytest.raises(ChildProcessError, match=r"ended with no result \(killed by signal 9\)"):
+            for out in m.score(gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)):
+                got.append(out)
+        assert len(got) == 1
+        no_child_process_left()
+
+    @pytest.mark.parametrize("unread", [False, True], ids=["idle", "with_a_start_unread"])
+    def test_a_helper_killed_between_batches_raises_child_process_error(
+            self, scoring, no_child_process_left, unread):
+        m, log = scoring
+        got = []
+        with pytest.raises(ChildProcessError, match=r"ended with no result \(killed by signal 9\)"):
+            for out in m.score(gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)):
+                got.append(out)
+                if len(got) == 2:
+                    child, = {pid for *_, pid in log.events()} - {os.getpid()}
+                    # stopped, the child leaves the next batch's start unread
+                    os.kill(child, signal.SIGSTOP if unread else signal.SIGKILL)
+                    if not unread:
+                        os.waitid(os.P_PID, child, os.WEXITED | os.WNOWAIT)
+                if len(got) == 3 and unread:
+                    os.kill(child, signal.SIGKILL)
+        assert len(got) == 3
+        no_child_process_left()
+
+    @pytest.mark.parametrize("exc, message", [
+        (Unsendable, r"raised Unsendable: odd batch, which could not be sent back"),
+        (Unreadable, r"result could not be read: TypeError"),
+    ])
+    def test_an_unpicklable_exception_in_an_odd_batch_raises_child_process_error(
+            self, scoring, monkeypatch, no_child_process_left, exc, message):
+        m, _ = scoring
+
+        def fail():
+            raise exc("odd batch") if exc is Unsendable else exc("odd", "batch")
+
+        self.in_the_helper(monkeypatch, fail)
+        got = []
+        with pytest.raises(ChildProcessError, match=message):
+            for out in m.score(gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)):
+                got.append(out)
+        assert len(got) == 1
+        no_child_process_left()
+
+    def test_evaluate_and_a_break_leave_no_helper(self, scoring, no_child_process_left):
+        m, log = scoring
+        samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
         evaluate(m, samples)
-        assert threading.active_count() == before
+        no_child_process_left()
+        # a generator dropped after a break, one closed, and one garbage-collected
         for _ in m.score(samples):
-            assert threading.active_count() == before + 1
+            with pytest.raises(AssertionError, match="still running"):
+                no_child_process_left()
             break
-        assert threading.active_count() == before
-        assert len(set(threads.values())) == 2
+        no_child_process_left()
+        batches = m.score(samples)
+        next(batches)
+        batches.close()
+        no_child_process_left()
+        batches = m.score(samples)
+        next(batches)
+        del batches
+        no_child_process_left()
+        assert len({pid for *_, pid in log.events()}) == 5
+
+    def test_the_helper_freezes_the_heap_it_inherits(self, scoring, monkeypatch):
+        m, log = scoring
+        # a collection in the child then passes over the objects it shares with
+        # the parent; the parent's own collector is left as it was
+        self.in_the_helper(monkeypatch, lambda: log.append("frozen", gc.get_freeze_count() > 0))
+        list(m.score(gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)))
+        assert [e[:2] for e in log.events() if e[0] == "frozen"] == [("frozen", "True")] * 2
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("host", ["darwin", "without fork"])
+    def test_a_host_off_linux_or_without_fork_scores_on_the_caller_alone(self, scoring, monkeypatch,
+                                                                      host):
+        m, log = scoring
+        samples = gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)
+        with monkeypatch.context() as patched:
+            if host == "darwin":
+                patched.setattr(sys, "platform", "darwin")
+            else:
+                patched.delattr(os, "fork")
+            got = list(m.score(samples))
+        assert len(got) == 3
+        assert {pid for *_, pid in log.events()} == {os.getpid()}
 
     def test_usable_cpus_counts_the_affinity_set(self, monkeypatch):
         monkeypatch.setattr(model_module.os, "cpu_count", lambda: 8)
@@ -363,7 +500,7 @@ class TestTwoScoringThreads:
                              text=True, check=True).stdout.split()
         assert out == [preset or "1", "1", "1"]
 
-    def test_without_the_helper_no_thread_is_started(self, monkeypatch):
+    def test_without_the_helper_no_thread_is_started(self, monkeypatch, no_child_process_left):
         monkeypatch.setattr(model_module, "usable_cpus", lambda: 1)
         monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
         samples, schema = make_dataset(n=3 * self.SIZE)
@@ -371,6 +508,7 @@ class TestTwoScoringThreads:
         before = threading.active_count()
         for _ in m.score(samples):
             assert threading.active_count() == before
+            no_child_process_left()
 
 
 class TestTrain:
