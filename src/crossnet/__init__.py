@@ -1,12 +1,18 @@
 """Explainable feature-crossing network for sequential tabular rating."""
 
 import os
+import sys
 
 # Each BLAS thread-count variable left unset is set to 1. This runs before NumPy
 # loads whenever the package is imported first, as by the ``crossnet`` command.
 # ``Model.score`` scores in two processes wherever it may use two CPUs, and two
 # scoring processes, each with a multi-thread BLAS, would oversubscribe two CPUs.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# So it forks only while ``ONE_BLAS_THREAD``: each variable reads 1, and NumPy's
+# BLAS, which reads them once as NumPy loads, loaded after they did.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ONE_BLAS_THREAD = all(os.environ.get(v, None if "numpy" in sys.modules else "1") == "1"
+                      for v in _BLAS_VARS)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from . import autodiff as ad
 from .autodiff import Param, Tensor
 from .attention import (FeatureAttentionParams, TemporalAttentionParams,
@@ -237,17 +238,17 @@ class Model:
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
         batch, in order. With two or more batches, more than one CPU to run
-        on (``usable_cpus``) and ``os.fork`` on Linux, the caller scores the
-        even batches and one forked child process the odd ones
-        (``ScoringChild``), each odd batch started with the even one before
-        it, so at most two are in flight. Every batch is checked in the
-        caller, and an exception raised in the child is raised here at its
-        batch. ``no_grad`` ends before each yield, so it is never held while
-        the caller runs, and the child is killed if still running and reaped
-        before ``score`` returns, raises or is closed. Finite parameters can
-        still overflow in the forward pass: a ValueError names the first
-        entity, in sample order, with a non-finite value in any of the four
-        arrays.
+        on (``usable_cpus``), a BLAS on one thread (``ONE_BLAS_THREAD``) and
+        ``os.fork`` on Linux, the caller scores the even batches and one
+        forked child process the odd ones (``ScoringChild``), each odd batch
+        started with the even one before it, so at most two are in flight.
+        Every batch is checked in the caller, and an exception raised in the
+        child is raised here at its batch. ``no_grad`` ends before each
+        yield, so it is never held while the caller runs, and the child is
+        killed if still running and reaped before ``score`` returns, raises
+        or is closed. Finite parameters can still overflow in the forward
+        pass: a ValueError names the first entity, in sample order, with a
+        non-finite value in any of the four arrays.
         """
         size = self.score_batch
         starts = range(0, len(samples), size)
@@ -266,7 +267,7 @@ class Model:
                                  f"forward pass overflows")
             return fwd
 
-        forking = sys.platform == "linux" and hasattr(os, "fork")
+        forking = sys.platform == "linux" and hasattr(os, "fork") and ONE_BLAS_THREAD
         child = (ScoringChild(scored, starts[1::2])
                  if len(starts) > 1 and forking and usable_cpus() > 1 else None)
         try:

@@ -2,6 +2,10 @@ import os
 
 import pytest
 
+# before NumPy, so that the tests' BLAS runs on one thread and ``Model.score``
+# forks its child, as in the ``crossnet`` command
+import crossnet  # noqa: F401
+
 
 def check_no_child_process():
     """AssertionError if this process has a child process running or unreaped;

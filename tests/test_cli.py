@@ -709,7 +709,7 @@ class TestScoringHoldsOneBatch:
         """A log with an ("encode", first, n, pid) event for each batch of n
         samples encoded, and a ("forward", first, n, pid) event for each forward
         pass on n samples, where first is the batch's first entity id; the
-        helper is on whatever the machine's CPU count."""
+        helper is on whatever the machine's CPU count and BLAS."""
         def counting_encode(samples, schema):
             process_log.append("encode", samples[0].entity_id, len(samples))
             return encode(samples, schema)
@@ -721,6 +721,7 @@ class TestScoringHoldsOneBatch:
             return forward(self, batch)
 
         monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(model, "ONE_BLAS_THREAD", True)
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
         return process_log
@@ -773,6 +774,7 @@ class TestScoringHoldsOneBatch:
             return forward(self, batch)
 
         monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(model, "ONE_BLAS_THREAD", True)
         monkeypatch.setattr(model.Model, "forward", dying_in_the_child)
         assert main(["eval", "--data", str(data), "--model", str(ckpt),
                      "--config", str(config_path), "--all"]) == 1

@@ -274,12 +274,13 @@ class Unreadable(Exception):
 
 
 class TestTwoScoringThreads:
-    """Model.score with its helper, a forked child process that replaced the
-    helper thread this class is named for: the caller scores the even batches
-    and the child the odd ones, each yielded in order and checked in the
-    caller, and the child is killed if still running and reaped however the
-    scoring ends. The autouse ``no_child_process_left`` fixture checks the
-    reaping again after every test."""
+    """Model.score with its helper, a forked child process: the caller scores
+    the even batches and the child the odd ones, each yielded in order and
+    checked in the caller, and the child is killed if still running and
+    reaped however the scoring ends. The autouse ``no_child_process_left``
+    fixture checks the reaping again after every test. The helper was a
+    thread; the ids of the tests that predate the child are kept, as lists
+    of passing tests name them."""
 
     SIZE = 16
 
@@ -288,6 +289,7 @@ class TestTwoScoringThreads:
         """A model scoring SIZE samples a batch with its helper, and a log with a
         ("forward", first entity id, pid) event for each forward pass."""
         monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(model_module, "ONE_BLAS_THREAD", True)
         probe = gen_synthetic_interaction(8, 2, 1, seed=0)
         m = Model(build_schema(probe, synthetic_schema_config(1, 2)), small_config())
         # T=2, N=6, d=4: 384 bytes of the stack a sample
@@ -466,7 +468,7 @@ class TestTwoScoringThreads:
         assert [e[:2] for e in log.events() if e[0] == "frozen"] == [("frozen", "True")] * 2
         assert gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize("host", ["darwin", "without fork"])
+    @pytest.mark.parametrize("host", ["darwin", "without fork", "blas threads"])
     def test_a_host_off_linux_or_without_fork_scores_on_the_caller_alone(self, scoring, monkeypatch,
                                                                       host):
         m, log = scoring
@@ -474,8 +476,11 @@ class TestTwoScoringThreads:
         with monkeypatch.context() as patched:
             if host == "darwin":
                 patched.setattr(sys, "platform", "darwin")
-            else:
+            elif host == "without fork":
                 patched.delattr(os, "fork")
+            else:
+                # a BLAS on several threads in each of two processes would oversubscribe
+                patched.setattr(model_module, "ONE_BLAS_THREAD", False)
             got = list(m.score(samples))
         assert len(got) == 3
         assert {pid for *_, pid in log.events()} == {os.getpid()}
@@ -499,6 +504,22 @@ class TestTwoScoringThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
         assert out == [preset or "1", "1", "1"]
+
+    @pytest.mark.parametrize("numpy_first, preset, one", [
+        (False, None, True), (False, "2", False), (True, None, False), (True, "1", True),
+    ], ids=["crossnet_first", "set_to_2", "numpy_first", "numpy_first_all_set_to_1"])
+    def test_one_blas_thread_needs_each_variable_at_1_before_numpy_loads(self, numpy_first,
+                                                                          preset, one):
+        # a fresh interpreter, so that the import order is the one under test
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = str(Path(model_module.__file__).parents[1])
+        if preset:
+            env.update(dict.fromkeys(blas, "1"), OPENBLAS_NUM_THREADS=preset)
+        code = "import numpy\n" * numpy_first + "import crossnet; print(crossnet.ONE_BLAS_THREAD)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == f"{one}\n"
 
     def test_without_the_helper_no_thread_is_started(self, monkeypatch, no_child_process_left):
         monkeypatch.setattr(model_module, "usable_cpus", lambda: 1)
