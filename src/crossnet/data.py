@@ -71,8 +71,10 @@ class FeatureField:
         """Reject a field that encode and the embedding could not use."""
         if not isinstance(self.name, str) or self.kind not in ("categorical", "numerical"):
             raise ValueError(f"bad field name or kind: {self.name!r}, {self.kind!r}")
-        if self.kind == "categorical" and not (isinstance(self.vocab, list) and self.vocab):
-            raise ValueError(f"categorical field {self.name!r} needs a non-empty vocab list")
+        if self.kind == "categorical" and not (isinstance(self.vocab, list) and self.vocab and
+                                               all(isinstance(v, str) for v in self.vocab)):
+            raise ValueError(f"categorical field {self.name!r} needs a non-empty vocab list "
+                             f"of strings")
         finite = all(isinstance(x, (int, float)) and not isinstance(x, bool)
                      and math.isfinite(x) for x in (self.mean, self.std))
         if not finite or self.std <= 0 or not isinstance(self.multi_valued, bool):
@@ -162,10 +164,12 @@ def _checked_values(fields, row, path, lineno):
 
 
 def read_text(path):
-    """The text of ``path``; DataError naming the line of a byte that is not UTF-8."""
+    """The text of ``path`` without a leading byte-order mark; DataError naming
+    the line of a byte that is not UTF-8."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        # not "utf-8-sig", whose errors count their offset from past the mark
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
@@ -173,7 +177,8 @@ def read_text(path):
 
 @contextlib.contextmanager
 def read_rows(path, required):
-    """The UTF-8 CSV file at ``path`` as ``(width, column, lines)``: its header's
+    """The UTF-8 CSV file at ``path``, past a leading byte-order mark (as Excel's
+    "CSV UTF-8" writes), as ``(width, column, lines)``: its header's
     width, name -> column map (a repeated name takes its last) and iterator of
     (line number, row) over the non-blank rows. An empty file or a missing
     ``required`` column is a DataError naming ``path``; a line the csv module
@@ -182,6 +187,8 @@ def read_rows(path, required):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")

@@ -16,7 +16,6 @@ import operator
 import os
 import pickle
 import signal
-import socket
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -237,18 +236,16 @@ class Model:
         """Score raw samples forward-only, ``score_batch`` at a time.
 
         Yields the arrays y [B,k], r [B,k], p [B,N] and q [B,T] of each
-        batch, in order. With two or more batches, more than one CPU to run
-        on (``usable_cpus``), a BLAS on one thread (``ONE_BLAS_THREAD``) and
-        ``os.fork`` on Linux, the caller scores the even batches and one
-        forked child process the odd ones (``ScoringChild``), each odd batch
-        started with the even one before it, so at most two are in flight.
-        Every batch is checked in the caller, and an exception raised in the
-        child is raised here at its batch. ``no_grad`` ends before each
-        yield, so it is never held while the caller runs, and the child is
-        killed if still running and reaped before ``score`` returns, raises
-        or is closed. Finite parameters can still overflow in the forward
-        pass: a ValueError names the first entity, in sample order, with a
-        non-finite value in any of the four arrays.
+        batch, in order. With two or more batches, on Linux, beside a BLAS
+        on one thread (``ONE_BLAS_THREAD``) and with more than one CPU in
+        the affinity set, one forked child process (``ScoringChild``) scores
+        the odd batches; an exception raised there is raised here at its
+        batch. ``no_grad`` ends before each yield, so it is never held while
+        the caller runs, and the child is killed if still running and reaped
+        before ``score`` returns, raises or is closed. Every batch is checked
+        here: finite parameters can still overflow in the forward pass, and a
+        ValueError names the first entity, in sample order, with a non-finite
+        value in any of the four arrays.
         """
         size = self.score_batch
         starts = range(0, len(samples), size)
@@ -267,17 +264,12 @@ class Model:
                                  f"forward pass overflows")
             return fwd
 
-        forking = sys.platform == "linux" and hasattr(os, "fork") and ONE_BLAS_THREAD
-        child = (ScoringChild(scored, starts[1::2])
-                 if len(starts) > 1 and forking and usable_cpus() > 1 else None)
+        forking = (sys.platform == "linux" and ONE_BLAS_THREAD and len(starts) > 1
+                   and len(os.sched_getaffinity(0)) > 1)
+        child = ScoringChild(scored, starts[1::2]) if forking else None
         try:
-            for start in starts[::2]:
-                odd = start + size
-                if child and odd < len(samples):
-                    child.start_next()
-                yield checked(start, scored(start))
-                if odd < len(samples):
-                    yield checked(odd, child.result() if child else scored(odd))
+            for i, start in enumerate(starts):
+                yield checked(start, child.result() if child and i % 2 else scored(start))
         finally:
             if child:
                 child.stop()
@@ -285,67 +277,48 @@ class Model:
 
 class ScoringChild:
     """A forked process that runs ``score(start)`` for each of ``starts`` in
-    turn, one for each ``start_next`` call, and sends back what it returns or
-    raises, over one socket pair (a two-way pipe)."""
+    turn and writes what each returns or raises down one pipe, one pickle
+    each, as soon as it has it. The pipe's buffer bounds its lead: once that
+    is full, the child waits in ``write`` for the caller to read."""
 
     def __init__(self, score, starts):
-        ours, theirs = socket.socketpair()
+        read_end, write_end = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             code = 1
             try:
-                ours.close()
+                os.close(read_end)
                 # the child's collections then skip the heap it inherits, so
                 # they neither walk it nor write to (and copy) its pages
                 gc.freeze()
-                for start in starts:
-                    if not theirs.recv(1):
-                        break
-                    body = _outcome(score, start)
-                    theirs.sendall(struct.pack("<Q", len(body)) + body)
+                with open(write_end, "wb") as pipe:
+                    for start in starts:
+                        pipe.write(_outcome(score, start))
+                        pipe.flush()
                 code = 0
             finally:
                 os._exit(code)
-        theirs.close()
-        self.sock = ours
-        self.reader = ours.makefile("rb")
-
-    def start_next(self):
-        try:
-            self.sock.sendall(b"\x01")
-        except BrokenPipeError:     # the child has ended; ``result`` says how
-            pass
+        os.close(write_end)
+        self.pipe = open(read_end, "rb")
 
     def result(self):
-        """What the child's next ``score`` call returned; raises what it raised.
-
-        ChildProcessError when the child ended with no result, or when what
-        it raised could not be sent back.
-        """
+        """What the child's next ``score`` call returned; raises what it raised,
+        or ChildProcessError if it ended with no result or that cannot be read."""
         try:
-            head = self.reader.read(8)
-            size = struct.unpack("<Q", head)[0] if len(head) == 8 else -1
-            body = self.reader.read(size) if size >= 0 else b""
-        except ConnectionResetError:    # it ended with a ``start_next`` byte unread
-            size, body = -1, b""
-        if len(body) != size:
+            value = pickle.load(self.pipe)
+        except EOFError:
             raise ChildProcessError(f"the scoring child process ended with no result "
-                                    f"({self.stop()})")
-        try:
-            kind, value = pickle.loads(body)
+                                    f"({self.stop()})") from None
         except Exception as exc:
             raise ChildProcessError(f"the scoring child process's result could not be "
                                     f"read: {type(exc).__name__}: {exc}") from None
-        if kind == "raised":
+        if isinstance(value, BaseException):
             raise value
-        if kind == "unsent":
-            raise ChildProcessError(f"the scoring child process raised {value}")
         return value
 
     def stop(self):
         """Kill the child if it still runs and reap it; how it ended, in words."""
-        self.reader.close()
-        self.sock.close()
+        self.pipe.close()
         if self.pid is None:
             return None
         os.kill(self.pid, signal.SIGKILL)
@@ -355,23 +328,17 @@ class ScoringChild:
 
 
 def _outcome(score, start):
-    """``score(start)``'s result or exception, pickled with how it ended."""
+    """``score(start)``'s result or exception, pickled; an exception that
+    cannot be pickled becomes a ChildProcessError that names it."""
     try:
-        return pickle.dumps(("returned", score(start)), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(score(start), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         try:
-            return pickle.dumps(("raised", exc), pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
         except Exception as unsent:
-            return pickle.dumps(("unsent", f"{type(exc).__name__}: {exc}, which could not "
-                                           f"be sent back: {unsent}"))
-
-
-def usable_cpus():
-    """The CPUs this process may run on: its affinity set where the platform
-    keeps one, so a process pinned to one CPU counts one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+            return pickle.dumps(ChildProcessError(
+                f"the scoring child process raised {type(exc).__name__}: {exc}, which "
+                f"could not be sent back: {unsent}"))
 
 
 def objective(batch, model, config):

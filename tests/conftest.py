@@ -7,11 +7,16 @@ import pytest
 import crossnet  # noqa: F401
 
 
-def check_no_child_process():
-    """AssertionError if this process has a child process running or unreaped;
-    an unreaped one is reaped by the check."""
+def check_no_child_process(reap=False):
+    """AssertionError if this process has a child process running or ended and
+    unreaped. Only with ``reap`` is an ended one reaped by the check, so that a
+    check made while the code under test runs leaves its child to it."""
     try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
+        if reap:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        else:
+            ended = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            pid = ended.si_pid if ended else 0
     except ChildProcessError:
         return
     raise AssertionError("a child process is still running" if pid == 0
@@ -20,10 +25,11 @@ def check_no_child_process():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail any test that leaves a child process running or unreaped. A test
-    that asks for the fixture gets the check, to make it at any point."""
+    """Fail any test that leaves a child process running or unreaped, and reap
+    an unreaped one. A test that asks for the fixture gets the check, to make
+    at any point; that one reaps nothing."""
     yield check_no_child_process
-    check_no_child_process()
+    check_no_child_process(reap=True)
 
 
 class ProcessLog:

@@ -242,6 +242,12 @@ class TestParseConfig:
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {cfg}:1: byte 0xff is not UTF-8\n"
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, config_path):
+        cfg = tmp_path / "marked.cfg"
+        # from the fields line, so that the mark sits before a key
+        cfg.write_bytes(b"\xef\xbb\xbf" + SMALL_CONFIG.split("\n", 2)[2].encode())
+        assert parse_config(cfg) == parse_config(config_path)
+
     def test_config_error_exit_code(self, tmp_path, data_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n")
@@ -302,6 +308,17 @@ class TestIngest:
         assert f"{y1}:3: field larger than field limit (131072)" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, config_path):
+        y1, y2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        self.write_period(y1, [["acme", 1, 2, 3]])
+        self.write_period(y2, [["acme", 4, 5, 6, 1]], with_label=True)
+        argv = ["ingest", "--config", str(config_path), "--in", str(y1), str(y2), "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        for path in (y1, y2):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv + [str(tmp_path / "marked.csv")]) == 0
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_missing_final_label(self, tmp_path, config_path):
         y1, y2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -720,7 +737,7 @@ class TestScoringHoldsOneBatch:
             process_log.append("forward", batch[0].entity_id, len(batch))
             return forward(self, batch)
 
-        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(model, "ONE_BLAS_THREAD", True)
         monkeypatch.setattr(embedding, "encode", counting_encode)
         monkeypatch.setattr(model.Model, "forward", logging_forward)
@@ -773,7 +790,7 @@ class TestScoringHoldsOneBatch:
                 os.kill(os.getpid(), signal.SIGKILL)
             return forward(self, batch)
 
-        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(model, "ONE_BLAS_THREAD", True)
         monkeypatch.setattr(model.Model, "forward", dying_in_the_child)
         assert main(["eval", "--data", str(data), "--model", str(ckpt),
@@ -782,6 +799,20 @@ class TestScoringHoldsOneBatch:
         assert captured.out == ""
         assert captured.err == ("error: the scoring child process ended with no result "
                                 "(killed by signal 9)\n")
+
+    def test_a_half_written_result_exits_1_with_one_line(self, config_path, portfolio,
+                                                         monkeypatch, capsys):
+        data, ckpt, _ = portfolio
+        outcome = model._outcome
+        # eval --all takes three batches, so the child scores one and then ends
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(model, "ONE_BLAS_THREAD", True)
+        monkeypatch.setattr(model, "_outcome", lambda score, start: outcome(score, start)[:100])
+        assert main(["eval", "--data", str(data), "--model", str(ckpt),
+                     "--config", str(config_path), "--all"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: the scoring child process's result could not be read: UnpicklingError: "
+            "pickle data was truncated\n"))
 
     def test_eval_report_matches_a_normalized_list(self, portfolio):
         _, ckpt, ds = portfolio
@@ -1119,6 +1150,25 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert f"{ckpt} has a malformed header" in err and err.count("\n") == 1, err
 
+
+    def test_a_vocab_entry_that_is_not_a_string_is_malformed(self, tmp_path, config_path,
+                                                             data_path, capsys):
+        cfg = parse_config(config_path)
+        samples = cli._load_split(data_path, cfg.schema_config(), cfg.ratio, cfg.train.seed).train
+        schema = [dataclasses.replace(f, kind="categorical", vocab=["a", "b"])
+                  if f.name == "noise0" else f for f in build_schema(samples, cfg.schema_config())]
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.Model(schema, cfg.train), ckpt)
+        blob = ckpt.read_bytes()
+        # the same length, so the header's length prefix still holds
+        assert blob.count(b'"vocab": ["a", "b"]') == 1
+        ckpt.write_bytes(blob.replace(b'"vocab": ["a", "b"]', b'"vocab": ["a", [0]]'))
+        rc = main(["eval", "--data", str(data_path), "--model", str(ckpt),
+                   "--config", str(config_path)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {ckpt} has a malformed header: categorical field 'noise0' needs a "
+            f"non-empty vocab list of strings\n"))
 
 class TestCheckpointAgainstConfig:
     """eval and explain read the fields the checkpoint embeds as it embeds

@@ -67,6 +67,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=rf"d\.csv:{line}: byte 0xe9 is not UTF-8$"):
             load_csv(path, basic_config)
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, basic_config):
+        # as Excel's "CSV UTF-8" export and Notepad write it
+        text = "entity_id,period_index,f1,f2,label\n" "a,0,1,1,\n" "a,1,2,2,\n" "a,2,3,3,1\n"
+        plain = load_csv(write(tmp_path / "plain.csv", text), basic_config)
+        marked = tmp_path / "d.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_csv(marked, basic_config) == plain and len(plain) == 1
+
+    def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_names_its_line(
+            self, tmp_path, basic_config):
+        # the bad byte opens line 2, within the mark's 3 bytes of line 1's end
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfentity_id,period_index,f1,f2,label\n"
+                         b"\xe9a,0,1,1,1\n")
+        with pytest.raises(DataError, match=r"d\.csv:2: byte 0xe9 is not UTF-8$"):
+            load_csv(path, basic_config)
+
     def test_missing_column_named(self, tmp_path, basic_config):
         path = write(tmp_path / "d.csv", "entity_id,period_index,f1,label\na,0,1,\n")
         with pytest.raises(DataError, match="f2"):

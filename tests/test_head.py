@@ -22,7 +22,7 @@ from crossnet.data import build_schema, gen_synthetic_interaction, synthetic_sch
 from crossnet.model import (SCORE_BYTES, GruParams, Model, OutputParams,
                             TrainConfig, auc, confusion_report, evaluate, gru_forward,
                             load_checkpoint, lq_loss, objective, predict,
-                            save_checkpoint, time_concat, train, usable_cpus)
+                            save_checkpoint, time_concat, train)
 
 from test_data import SPECIAL_CELLS, encoding_cases, gather_ref, normalize_ref
 
@@ -287,8 +287,9 @@ class TestTwoScoringThreads:
     @pytest.fixture
     def scoring(self, monkeypatch, process_log):
         """A model scoring SIZE samples a batch with its helper, and a log with a
-        ("forward", first entity id, pid) event for each forward pass."""
-        monkeypatch.setattr(model_module, "usable_cpus", lambda: 2)
+        ("forward", first entity id, pid) event as each forward pass begins and
+        an ("end", first entity id, pid) one as it ends."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(model_module, "ONE_BLAS_THREAD", True)
         probe = gen_synthetic_interaction(8, 2, 1, seed=0)
         m = Model(build_schema(probe, synthetic_schema_config(1, 2)), small_config())
@@ -299,10 +300,32 @@ class TestTwoScoringThreads:
 
         def logging_forward(self, batch):
             process_log.append("forward", batch[0].entity_id)
-            return forward(self, batch)
+            fwd = forward(self, batch)
+            process_log.append("end", batch[0].entity_id)
+            return fwd
 
         monkeypatch.setattr(Model, "forward", logging_forward)
         return m, process_log
+
+    @pytest.fixture
+    def held(self, scoring, monkeypatch):
+        """Make the forward pass of the batch that starts with the given sample,
+        which the child runs, wait first on a pipe that nothing writes to, so
+        that the child is still running until it is killed."""
+        read_end, write_end = os.pipe()
+        forward = Model.forward
+
+        def hold(first):
+            def forward_held(self, batch):
+                if batch[0] is first:
+                    os.read(read_end, 1)
+                return forward(self, batch)
+
+            monkeypatch.setattr(Model, "forward", forward_held)
+
+        yield hold
+        os.close(read_end)
+        os.close(write_end)
 
     def in_the_helper(self, monkeypatch, action):
         """Make each forward pass in a process other than this one call ``action``
@@ -320,10 +343,7 @@ class TestTwoScoringThreads:
     def test_batches_match_one_forward_each_in_order(self, scoring, n, no_child_process_left):
         m, log = scoring
         samples = gen_synthetic_interaction(n, 2, 1, seed=1)
-        got = []
-        for out in m.score(samples):
-            got.append(out)
-            log.append("taken", len(got))
+        got = list(m.score(samples))
         no_child_process_left()
         events = log.events()
         starts = range(0, n, self.SIZE)
@@ -334,11 +354,11 @@ class TestTwoScoringThreads:
         pids = [forwards[samples[s].entity_id] for s in starts]
         assert [pid == os.getpid() for pid in pids] == [i % 2 == 0 for i in range(len(starts))]
         assert len(set(pids)) == min(len(starts), 2)
-        # at most two batches in flight: begun, and not yet taken by the consumer
-        in_flight = 0
-        for event, *_ in events:
-            in_flight += 1 if event == "forward" else -1
-            assert 0 <= in_flight <= 2
+        # each process runs one forward pass at a time: its begin and end events alternate
+        for pid in set(pids):
+            firsts = [samples[s].entity_id for s, p in zip(starts, pids) if p == pid]
+            assert [e[:2] for e in events if e[2] == pid] == [
+                (event, first) for first in firsts for event in ("forward", "end")]
         for out, start in zip(got, starts):
             want = m.forward(samples[start:start + self.SIZE])
             for k in ("y", "r", "p", "q"):
@@ -400,23 +420,35 @@ class TestTwoScoringThreads:
         assert len(got) == 1
         no_child_process_left()
 
-    @pytest.mark.parametrize("unread", [False, True], ids=["idle", "with_a_start_unread"])
-    def test_a_helper_killed_between_batches_raises_child_process_error(
-            self, scoring, no_child_process_left, unread):
+    def test_a_child_killed_in_a_later_batch_raises_child_process_error(
+            self, scoring, held, no_child_process_left):
         m, log = scoring
+        samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
+        held(samples[3 * self.SIZE])
         got = []
         with pytest.raises(ChildProcessError, match=r"ended with no result \(killed by signal 9\)"):
-            for out in m.score(gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)):
+            for out in m.score(samples):
                 got.append(out)
                 if len(got) == 2:
+                    # the child sent batch 1 and is scoring batch 3, or about to
                     child, = {pid for *_, pid in log.events()} - {os.getpid()}
-                    # stopped, the child leaves the next batch's start unread
-                    os.kill(child, signal.SIGSTOP if unread else signal.SIGKILL)
-                    if not unread:
-                        os.waitid(os.P_PID, child, os.WEXITED | os.WNOWAIT)
-                if len(got) == 3 and unread:
                     os.kill(child, signal.SIGKILL)
         assert len(got) == 3
+        no_child_process_left()
+
+    def test_a_child_that_writes_half_a_result_raises_child_process_error(
+            self, scoring, monkeypatch, no_child_process_left):
+        m, _ = scoring
+        outcome = model_module._outcome
+        # one odd batch, so the child ends after writing half of its result
+        monkeypatch.setattr(model_module, "_outcome",
+                            lambda score, start: outcome(score, start)[:100])
+        got = []
+        with pytest.raises(ChildProcessError, match=r"result could not be read: "
+                                                    r"UnpicklingError: pickle data was truncated"):
+            for out in m.score(gen_synthetic_interaction(3 * self.SIZE, 2, 1, seed=1)):
+                got.append(out)
+        assert len(got) == 1
         no_child_process_left()
 
     @pytest.mark.parametrize("exc, message", [
@@ -438,12 +470,15 @@ class TestTwoScoringThreads:
         assert len(got) == 1
         no_child_process_left()
 
-    def test_evaluate_and_a_break_leave_no_helper(self, scoring, no_child_process_left):
+    def test_evaluate_and_a_break_leave_no_helper(self, scoring, held, no_child_process_left):
         m, log = scoring
         samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
         evaluate(m, samples)
         no_child_process_left()
-        # a generator dropped after a break, one closed, and one garbage-collected
+        assert len({pid for *_, pid in log.events()}) == 2
+        # a generator dropped after a break, one closed, and one garbage-collected,
+        # each with its child held in batch 1, so that it is still running
+        held(samples[self.SIZE])
         for _ in m.score(samples):
             with pytest.raises(AssertionError, match="still running"):
                 no_child_process_left()
@@ -451,13 +486,16 @@ class TestTwoScoringThreads:
         no_child_process_left()
         batches = m.score(samples)
         next(batches)
+        with pytest.raises(AssertionError, match="still running"):
+            no_child_process_left()
         batches.close()
         no_child_process_left()
         batches = m.score(samples)
         next(batches)
+        with pytest.raises(AssertionError, match="still running"):
+            no_child_process_left()
         del batches
         no_child_process_left()
-        assert len({pid for *_, pid in log.events()}) == 5
 
     def test_the_helper_freezes_the_heap_it_inherits(self, scoring, monkeypatch):
         m, log = scoring
@@ -468,7 +506,7 @@ class TestTwoScoringThreads:
         assert [e[:2] for e in log.events() if e[0] == "frozen"] == [("frozen", "True")] * 2
         assert gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize("host", ["darwin", "without fork", "blas threads"])
+    @pytest.mark.parametrize("host", ["darwin", "one cpu", "blas threads"])
     def test_a_host_off_linux_or_without_fork_scores_on_the_caller_alone(self, scoring, monkeypatch,
                                                                       host):
         m, log = scoring
@@ -476,21 +514,15 @@ class TestTwoScoringThreads:
         with monkeypatch.context() as patched:
             if host == "darwin":
                 patched.setattr(sys, "platform", "darwin")
-            elif host == "without fork":
-                patched.delattr(os, "fork")
+            elif host == "one cpu":
+                # an affinity set of one CPU, as under ``taskset -c 0``
+                patched.setattr(os, "sched_getaffinity", lambda pid: {0})
             else:
                 # a BLAS on several threads in each of two processes would oversubscribe
                 patched.setattr(model_module, "ONE_BLAS_THREAD", False)
             got = list(m.score(samples))
         assert len(got) == 3
         assert {pid for *_, pid in log.events()} == {os.getpid()}
-
-    def test_usable_cpus_counts_the_affinity_set(self, monkeypatch):
-        monkeypatch.setattr(model_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(model_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert usable_cpus() == 1
-        monkeypatch.delattr(model_module.os, "sched_getaffinity")
-        assert usable_cpus() == 8
 
     @pytest.mark.parametrize("preset", [None, "3"])
     def test_importing_crossnet_sets_an_unset_blas_thread_count_to_one(self, preset):
@@ -522,7 +554,7 @@ class TestTwoScoringThreads:
         assert out == f"{one}\n"
 
     def test_without_the_helper_no_thread_is_started(self, monkeypatch, no_child_process_left):
-        monkeypatch.setattr(model_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(model_module, "SCORE_BYTES", self.SIZE * 384)
         samples, schema = make_dataset(n=3 * self.SIZE)
         m = Model(schema, small_config())
@@ -789,11 +821,15 @@ class TestCheckpoint:
         (lambda s: [{**s[0], "std": 0}] + s[1:], None),
         (lambda s: [{**s[0], "kind": "categorical"}] + s[1:], None),
         (lambda s: [{**s[0], "multi_valued": True}] + s[1:], None),
+        (lambda s: [{**s[0], "kind": "categorical", "vocab": ["a", ["b"]]}] + s[1:], None),
+        (lambda s: [{**s[0], "kind": "categorical", "vocab": ["a", 1]}] + s[1:], None),
+        (lambda s: [{**s[0], "kind": "categorical", "vocab": [None]}] + s[1:], None),
     ], ids=["config-extra-key", "config-list", "config-str-int", "config-missing-key",
             "config-int-widths", "config-top-k-0", "config-bool-lr", "schema-extra-key",
             "schema-object", "schema-empty", "schema-field-not-in-list", "schema-bad-kind",
             "schema-str-mean", "schema-zero-std", "schema-categorical-without-vocab",
-            "schema-multi-valued-numerical"])
+            "schema-multi-valued-numerical", "schema-vocab-list-entry", "schema-vocab-int-entry",
+            "schema-vocab-null-entry"])
     def test_malformed_header_rejected(self, tmp_path, schema, config):
         _, path = self.saved(tmp_path)
         self.rewrite_header(path, schema, config)
