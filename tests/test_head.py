@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import select
 import signal
 import struct
 import subprocess
@@ -311,14 +312,15 @@ class TestTwoScoringThreads:
     def held(self, scoring, monkeypatch):
         """Make the forward pass of the batch that starts with the given sample,
         which the child runs, wait first on a pipe that nothing writes to, so
-        that the child is still running until it is killed."""
+        that the child is still running until it is killed. The wait ends after
+        a minute, so a test whose kill never comes fails rather than hangs."""
         read_end, write_end = os.pipe()
         forward = Model.forward
 
         def hold(first):
             def forward_held(self, batch):
                 if batch[0] is first:
-                    os.read(read_end, 1)
+                    select.select([read_end], [], [], 60)
                 return forward(self, batch)
 
             monkeypatch.setattr(Model, "forward", forward_held)
@@ -420,7 +422,7 @@ class TestTwoScoringThreads:
         assert len(got) == 1
         no_child_process_left()
 
-    def test_a_child_killed_in_a_later_batch_raises_child_process_error(
+    def test_a_child_killed_while_held_raises_child_process_error(
             self, scoring, held, no_child_process_left):
         m, log = scoring
         samples = gen_synthetic_interaction(4 * self.SIZE, 2, 1, seed=1)
@@ -436,7 +438,7 @@ class TestTwoScoringThreads:
         assert len(got) == 3
         no_child_process_left()
 
-    def test_a_child_that_writes_half_a_result_raises_child_process_error(
+    def test_half_a_result_from_the_child_raises_child_process_error(
             self, scoring, monkeypatch, no_child_process_left):
         m, _ = scoring
         outcome = model_module._outcome
